@@ -33,7 +33,7 @@ use branchlab::experiments::trace_replay::{cached_profile, captured_runs, replay
 use branchlab::experiments::{eval_predictors, eval_predictors_live, ExperimentConfig};
 use branchlab::pipeline::{FdipConfig, FdipSim};
 use branchlab::predict::{
-    BranchPredictor, Cbtb, CbtbConfig, ForwardSemantic, MlBtb, MlBtbConfig, MlBtbStats, Sbtb,
+    BranchPredictor, BtbStats, Cbtb, CbtbConfig, ForwardSemantic, MlBtb, MlBtbConfig, Sbtb,
     SbtbConfig,
 };
 use branchlab::telemetry::JsonValue;
@@ -100,7 +100,7 @@ struct Point {
 
 fn points() -> Vec<Point> {
     let stressed_l1 = MlBtbConfig {
-        levels: vec![branchlab::predict::MlBtbLevel {
+        levels: vec![branchlab::predict::BtbLevel {
             entries: 64,
             ways: 4,
             latency: 0,
@@ -181,7 +181,7 @@ fn build(point: &Point, fs: &ForwardSemantic) -> Box<dyn BranchPredictor> {
     }
 }
 
-fn level_stats_json(stats: &MlBtbStats) -> JsonValue {
+fn level_stats_json(stats: &BtbStats) -> JsonValue {
     JsonValue::obj(vec![
         (
             "levels",
@@ -264,7 +264,7 @@ fn study_bench(bench: &Benchmark, config: &ExperimentConfig) -> (JsonValue, bool
             let mut ml = FdipSim::new(MlBtb::new(cfg.clone()));
             replay_runs(&runs, &mut ml)
                 .unwrap_or_else(|e| panic!("{name}/{}: mlbtb replay failed: {e}", point.key));
-            fields.push(("mlbtb", level_stats_json(ml.eval.predictor.stats())));
+            fields.push(("mlbtb", level_stats_json(&ml.eval.predictor.stats())));
         }
         rows.push(JsonValue::obj(fields));
         eprintln!(

@@ -13,7 +13,7 @@ use branchlab_interp::{run, ErrorClass, ExecConfig, ExecError, ExecStats};
 use branchlab_ir::{lower, LowerError, Program};
 use branchlab_minic::CompileError;
 use branchlab_predict::{
-    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, Evaluator,
+    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Btb, Cbtb, Evaluator,
     LikelyBit, PredStats, Sbtb,
 };
 use branchlab_profile::{profile_module_with, Profile, ProfileError};
@@ -325,8 +325,8 @@ impl From<ExecError> for ExperimentError {
 /// All evaluators fed by one pass over the conventional binary.
 struct NaturalSinks {
     mix: BranchMix,
-    sbtb: Evaluator<Sbtb<SiteProbe>>,
-    cbtb: Evaluator<Cbtb<SiteProbe>>,
+    sbtb: Evaluator<Btb<SiteProbe>>,
+    cbtb: Evaluator<Btb<SiteProbe>>,
     at: Evaluator<AlwaysTaken>,
     ant: Evaluator<AlwaysNotTaken>,
     btfn: Evaluator<BackwardTakenForwardNot>,

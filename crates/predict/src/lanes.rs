@@ -39,7 +39,7 @@ use branchlab_ir::Addr;
 use branchlab_trace::{BranchEvent, BranchKind};
 
 use crate::assoc::{AssocBuffer, BuildKeyHasher};
-use crate::cbtb::CbtbConfig;
+use crate::btb::{BtbConfig, CbtbConfig};
 use crate::predictor::PredStats;
 
 /// Maximum configurations per lane family — one bit per lane in the
@@ -53,7 +53,7 @@ const MAX_COUNTER_PLANES: usize = 4;
 /// Branchless saturating counter step: increment toward `max` on a
 /// taken outcome, decrement toward 0 otherwise, without branching on
 /// the outcome. Shared by the scalar predictors
-/// ([`Cbtb`](crate::Cbtb), the two-level pattern tables) and the
+/// ([`Btb`](crate::Btb), the two-level pattern tables) and the
 /// per-lane pattern tables here, so both paths saturate identically
 /// by construction.
 #[inline]
@@ -294,7 +294,7 @@ impl CbtbLanes {
     ///
     /// # Panics
     /// Panics if `configs` is empty or longer than [`MAX_LANES`], if
-    /// geometries differ, or on any configuration [`crate::Cbtb::new`]
+    /// geometries differ, or on any configuration [`BtbConfig::validate`]
     /// would reject (plus counters wider than the packed planes).
     #[must_use]
     pub fn new(configs: &[CbtbConfig]) -> Self {
@@ -310,19 +310,13 @@ impl CbtbLanes {
         let mut planes_used = 0usize;
         for (j, c) in configs.iter().enumerate() {
             assert_eq!((c.entries, c.ways), geom, "lanes must share geometry");
-            assert!(
-                c.ways > 0 && c.entries.is_multiple_of(c.ways),
-                "entries must be a multiple of ways"
-            );
+            if let Err(e) = BtbConfig::from(*c).validate() {
+                panic!("invalid CBTB lane: {e}");
+            }
             let bits = usize::from(c.counter_bits);
             assert!(
-                (1..=MAX_COUNTER_PLANES).contains(&bits),
+                bits <= MAX_COUNTER_PLANES,
                 "lane counter bits must be in 1..={MAX_COUNTER_PLANES}"
-            );
-            let max = (1u16 << bits) - 1;
-            assert!(
-                c.threshold >= 1 && u16::from(c.threshold) <= max,
-                "threshold must be in 1..=counter max"
             );
             planes_used = planes_used.max(bits);
             let bit = 1u64 << j;

@@ -3,14 +3,14 @@
 //! Branch prediction schemes for the `branchlab` reproduction of
 //! Hwu/Conte/Chang, *ISCA 1989*:
 //!
-//! * [`Sbtb`] — the Simple Branch Target Buffer (taken branches only,
-//!   delete-on-mispredict), 256-entry fully-associative LRU by default.
-//! * [`Cbtb`] — the Counter-based BTB with n-bit saturating counters
-//!   (2-bit, threshold 2 by default).
-//! * [`MlBtb`] — a parametric multi-level BTB hierarchy (set-associative
-//!   levels with true-LRU sets, fill/promotion policies, per-level
-//!   lookup-latency penalties) for server-scale instruction footprints
-//!   beyond the paper's single 256-entry buffer.
+//! * [`Btb`] — the one branch target buffer engine: set-associative
+//!   true-LRU levels, a fill/promotion policy, per-level lookup-latency
+//!   penalties, and a direction rule, all from one [`BtbConfig`].
+//!   [`Sbtb`] (taken branches only, delete-on-mispredict) and [`Cbtb`]
+//!   (n-bit saturating counters, 2-bit with threshold 2 by default)
+//!   build the paper's 256-entry fully-associative buffers; [`MlBtb`]
+//!   builds multi-level hierarchies for server-scale instruction
+//!   footprints beyond the paper's single buffer.
 //! * [`ForwardSemantic`] — the software scheme's prediction side:
 //!   profile-derived likely bits with encoded targets.
 //! * [`AlwaysTaken`], [`AlwaysNotTaken`], [`BackwardTakenForwardNot`] —
@@ -42,26 +42,25 @@
 #![warn(missing_docs)]
 
 mod assoc;
-mod cbtb;
+mod btb;
 mod lanes;
-mod mlbtb;
 mod predictor;
 mod ras;
-mod sbtb;
 mod statics;
 mod twolevel;
 
 pub use assoc::AssocBuffer;
-pub use cbtb::{Cbtb, CbtbConfig};
+pub use btb::{
+    Btb, BtbConfig, BtbConfigError, BtbLevel, BtbStats, Cbtb, CbtbConfig, Direction, FillPolicy,
+    LevelStats, MlBtb, MlBtbConfig, MlBtbLevel, Sbtb, SbtbConfig,
+};
 pub use lanes::{
     CbtbLanes, GshareLanes, LaneFamily, LaneFamilyKey, LaneSpec, LocalLanes, MAX_LANES,
 };
-pub use mlbtb::{FillPolicy, LevelStats, MlBtb, MlBtbConfig, MlBtbLevel, MlBtbStats};
 pub use predictor::{
     BranchPredictor, ContextSwitched, Evaluator, PredStats, Prediction, TargetInfo,
 };
 pub use ras::ReturnAddressStack;
-pub use sbtb::{Sbtb, SbtbConfig};
 pub use statics::{
     AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, ForwardSemantic, LikelyBit, OpcodeBias,
     OpcodeCounts,

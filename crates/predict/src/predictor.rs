@@ -281,6 +281,7 @@ impl<P: BranchPredictor> BranchPredictor for ContextSwitched<P> {
         self.inner.name()
     }
 
+    #[inline]
     fn predict(&mut self, ev: &BranchEvent) -> Prediction {
         self.since_switch += 1;
         if self.since_switch >= self.interval {
@@ -290,6 +291,7 @@ impl<P: BranchPredictor> BranchPredictor for ContextSwitched<P> {
         self.inner.predict(ev)
     }
 
+    #[inline]
     fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
         self.inner.update(ev, pred);
     }

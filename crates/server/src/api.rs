@@ -16,9 +16,9 @@ use std::sync::Arc;
 use branchlab_experiments::trace_replay::scale_name;
 use branchlab_experiments::{ExperimentConfig, SweepBatch};
 use branchlab_predict::{
-    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
-    FillPolicy, Gshare, LocalHistory, MlBtb, MlBtbConfig, MlBtbLevel, OpcodeBias, PredStats,
-    ReturnAddressStack, Sbtb, SbtbConfig,
+    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Btb, BtbConfig,
+    BtbLevel, CbtbConfig, Direction, FillPolicy, Gshare, LocalHistory, MlBtbConfig, OpcodeBias,
+    PredStats, ReturnAddressStack, SbtbConfig,
 };
 use branchlab_telemetry::{json, JsonValue, SpanLink};
 use branchlab_trace::hash_bytes;
@@ -106,26 +106,8 @@ impl ApiError {
 /// parse time so the canonical form is unambiguous).
 #[derive(Clone, Debug, PartialEq)]
 pub enum PredictorSpec {
-    /// Simple Branch Target Buffer.
-    Sbtb {
-        /// Total entries.
-        entries: usize,
-        /// Ways per set.
-        ways: usize,
-    },
-    /// Counter-based Branch Target Buffer.
-    Cbtb {
-        /// Total entries.
-        entries: usize,
-        /// Ways per set.
-        ways: usize,
-        /// Counter width in bits.
-        counter_bits: u8,
-        /// Prediction threshold.
-        threshold: u8,
-        /// `C > T` (paper-literal) instead of `C ≥ T`.
-        strict_greater: bool,
-    },
+    /// A branch target buffer: `sbtb`, `cbtb` or a two-level `mlbtb`.
+    Btb(BtbConfig),
     /// Always predict taken.
     AlwaysTaken,
     /// Always predict not taken.
@@ -148,28 +130,12 @@ pub enum PredictorSpec {
         /// Local history length.
         history_bits: u32,
     },
-    /// Two-level BTB hierarchy (small L1 backed by a larger L2).
-    Mlbtb {
-        /// L1 entries.
-        l1_entries: usize,
-        /// L1 ways per set.
-        l1_ways: usize,
-        /// L1 lookup-latency penalty in cycles.
-        l1_latency: u32,
-        /// L2 entries.
-        l2_entries: usize,
-        /// L2 ways per set.
-        l2_ways: usize,
-        /// L2 lookup-latency penalty in cycles.
-        l2_latency: u32,
-        /// `staged` fill/promotion policy instead of inclusive-L1.
-        staged: bool,
-        /// Direction counter width in bits.
-        counter_bits: u8,
-        /// Predict-taken threshold.
-        threshold: u8,
-    },
 }
+
+/// Most entries one BTB level may request.
+const MAX_BTB_ENTRIES: usize = 1 << 20;
+/// Largest per-level lookup latency, in cycles.
+const MAX_BTB_LATENCY: u32 = 1000;
 
 fn field_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize, ApiError> {
     match v.get(key) {
@@ -201,13 +167,23 @@ fn field_bool(v: &JsonValue, key: &str, default: bool) -> Result<bool, ApiError>
     }
 }
 
+/// One `mlbtb` level from its `{prefix}_entries/_ways/_latency` fields.
+fn mlbtb_level(v: &JsonValue, prefix: &str, default: BtbLevel) -> Result<BtbLevel, ApiError> {
+    Ok(BtbLevel {
+        entries: field_usize(v, &format!("{prefix}_entries"), default.entries)?,
+        ways: field_usize(v, &format!("{prefix}_ways"), default.ways)?,
+        latency: field_u32(v, &format!("{prefix}_latency"), default.latency)?,
+    })
+}
+
 impl PredictorSpec {
     /// Parse one entry of the request's `predictors` array.
     ///
     /// # Errors
-    /// [`ApiError::BadRequest`] for unknown kinds or out-of-range
-    /// geometry (bounds keep a single request from allocating
-    /// unbounded table memory).
+    /// [`ApiError::BadRequest`] for unknown kinds, configurations
+    /// [`BtbConfig::validate`] rejects, or sizes beyond the request
+    /// limits (which keep a single request from allocating unbounded
+    /// table memory).
     pub fn parse(v: &JsonValue) -> Result<Self, ApiError> {
         let kind = v
             .get("kind")
@@ -216,20 +192,21 @@ impl PredictorSpec {
         let spec = match kind {
             "sbtb" => {
                 let entries = field_usize(v, "entries", 256)?;
-                PredictorSpec::Sbtb {
-                    entries,
-                    ways: field_usize(v, "ways", entries)?,
-                }
+                let ways = field_usize(v, "ways", entries)?;
+                PredictorSpec::Btb(SbtbConfig { entries, ways }.into())
             }
             "cbtb" => {
                 let entries = field_usize(v, "entries", 256)?;
-                PredictorSpec::Cbtb {
-                    entries,
-                    ways: field_usize(v, "ways", entries)?,
-                    counter_bits: field_u8(v, "counter_bits", 2)?,
-                    threshold: field_u8(v, "threshold", 2)?,
-                    strict_greater: field_bool(v, "strict_greater", false)?,
-                }
+                PredictorSpec::Btb(
+                    CbtbConfig {
+                        entries,
+                        ways: field_usize(v, "ways", entries)?,
+                        counter_bits: field_u8(v, "counter_bits", 2)?,
+                        threshold: field_u8(v, "threshold", 2)?,
+                        strict_greater: field_bool(v, "strict_greater", false)?,
+                    }
+                    .into(),
+                )
             }
             "always_taken" => PredictorSpec::AlwaysTaken,
             "always_not_taken" => PredictorSpec::AlwaysNotTaken,
@@ -244,26 +221,28 @@ impl PredictorSpec {
                 history_bits: field_u32(v, "history_bits", 8)?,
             },
             "mlbtb" => {
-                let staged = match v.get("policy").and_then(JsonValue::as_str) {
-                    None | Some("l1") => false,
-                    Some("staged") => true,
+                let policy = match v.get("policy").and_then(JsonValue::as_str) {
+                    None | Some("l1") => FillPolicy::L1,
+                    Some("staged") => FillPolicy::Staged,
                     Some(other) => {
                         return Err(ApiError::BadRequest(format!(
                             "unknown mlbtb policy `{other}` (expected `l1` or `staged`)"
                         )))
                     }
                 };
-                PredictorSpec::Mlbtb {
-                    l1_entries: field_usize(v, "l1_entries", 64)?,
-                    l1_ways: field_usize(v, "l1_ways", 4)?,
-                    l1_latency: field_u32(v, "l1_latency", 0)?,
-                    l2_entries: field_usize(v, "l2_entries", 2048)?,
-                    l2_ways: field_usize(v, "l2_ways", 8)?,
-                    l2_latency: field_u32(v, "l2_latency", 2)?,
-                    staged,
-                    counter_bits: field_u8(v, "counter_bits", 2)?,
-                    threshold: field_u8(v, "threshold", 2)?,
-                }
+                let server = MlBtbConfig::server();
+                PredictorSpec::Btb(
+                    MlBtbConfig {
+                        levels: vec![
+                            mlbtb_level(v, "l1", server.levels[0])?,
+                            mlbtb_level(v, "l2", server.levels[1])?,
+                        ],
+                        policy,
+                        counter_bits: field_u8(v, "counter_bits", server.counter_bits)?,
+                        threshold: field_u8(v, "threshold", server.threshold)?,
+                    }
+                    .into(),
+                )
             }
             other => {
                 return Err(ApiError::BadRequest(format!(
@@ -277,27 +256,17 @@ impl PredictorSpec {
 
     fn validate(&self) -> Result<(), ApiError> {
         let bad = |m: &str| Err(ApiError::BadRequest(m.to_string()));
-        match *self {
-            PredictorSpec::Sbtb { entries, ways } | PredictorSpec::Cbtb { entries, ways, .. } => {
-                if entries == 0 || entries > 1 << 20 {
-                    return bad("`entries` must be in 1..=1048576");
+        match self {
+            PredictorSpec::Btb(config) => {
+                if config.levels.iter().any(|l| l.entries > MAX_BTB_ENTRIES) {
+                    return bad("BTB levels hold at most 1048576 entries");
                 }
-                if ways == 0 || ways > entries {
-                    return bad("`ways` must be in 1..=entries");
+                if config.levels.iter().any(|l| l.latency > MAX_BTB_LATENCY) {
+                    return bad("level latencies must be in 0..=1000");
                 }
-                if let PredictorSpec::Cbtb {
-                    counter_bits,
-                    threshold,
-                    ..
-                } = *self
-                {
-                    if counter_bits == 0 || counter_bits > 8 {
-                        return bad("`counter_bits` must be in 1..=8");
-                    }
-                    if u16::from(threshold) >= 1 << counter_bits {
-                        return bad("`threshold` must fit in `counter_bits`");
-                    }
-                }
+                config
+                    .validate()
+                    .map_err(|e| ApiError::BadRequest(e.to_string()))?;
             }
             PredictorSpec::Gshare {
                 table_bits,
@@ -307,51 +276,11 @@ impl PredictorSpec {
                 table_bits,
                 history_bits,
             } => {
-                if table_bits == 0 || table_bits > 24 {
+                if *table_bits == 0 || *table_bits > 24 {
                     return bad("`table_bits` must be in 1..=24");
                 }
-                if history_bits > 32 {
+                if *history_bits > 32 {
                     return bad("`history_bits` must be in 0..=32");
-                }
-            }
-            PredictorSpec::Mlbtb {
-                l1_entries,
-                l1_ways,
-                l1_latency,
-                l2_entries,
-                l2_ways,
-                l2_latency,
-                counter_bits,
-                threshold,
-                ..
-            } => {
-                for (level, entries, ways) in
-                    [("l1", l1_entries, l1_ways), ("l2", l2_entries, l2_ways)]
-                {
-                    if entries == 0 || entries > 1 << 20 {
-                        return Err(ApiError::BadRequest(format!(
-                            "`{level}_entries` must be in 1..=1048576"
-                        )));
-                    }
-                    if ways == 0 || ways > entries {
-                        return Err(ApiError::BadRequest(format!(
-                            "`{level}_ways` must be in 1..=entries"
-                        )));
-                    }
-                    if entries % ways != 0 || !(entries / ways).is_power_of_two() {
-                        return Err(ApiError::BadRequest(format!(
-                            "`{level}_entries` / `{level}_ways` must give a power-of-two set count"
-                        )));
-                    }
-                }
-                if l1_latency > 1000 || l2_latency > 1000 {
-                    return bad("level latencies must be in 0..=1000");
-                }
-                if counter_bits == 0 || counter_bits > 7 {
-                    return bad("`counter_bits` must be in 1..=7");
-                }
-                if threshold == 0 || u16::from(threshold) >= 1 << counter_bits {
-                    return bad("`threshold` must be in 1..=counter max");
                 }
             }
             _ => {}
@@ -363,15 +292,17 @@ impl PredictorSpec {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            PredictorSpec::Sbtb { .. } => "sbtb",
-            PredictorSpec::Cbtb { .. } => "cbtb",
+            PredictorSpec::Btb(config) => match (config.levels.len(), config.direction) {
+                (1, Direction::TakenOnly) => "sbtb",
+                (1, Direction::Counter { .. }) => "cbtb",
+                _ => "mlbtb",
+            },
             PredictorSpec::AlwaysTaken => "always_taken",
             PredictorSpec::AlwaysNotTaken => "always_not_taken",
             PredictorSpec::Btfn => "btfn",
             PredictorSpec::OpcodeBias => "opcode_bias",
             PredictorSpec::Gshare { .. } => "gshare",
             PredictorSpec::Local { .. } => "local",
-            PredictorSpec::Mlbtb { .. } => "mlbtb",
         }
     }
 
@@ -379,24 +310,37 @@ impl PredictorSpec {
     /// (fixed field order — this is what the cache key hashes).
     #[must_use]
     pub fn canonical(&self) -> JsonValue {
-        let mut fields: Vec<(&str, JsonValue)> = vec![("kind", self.kind().into())];
-        match *self {
-            PredictorSpec::Sbtb { entries, ways } => {
-                fields.push(("entries", entries.into()));
-                fields.push(("ways", ways.into()));
+        let mut fields = vec![("kind".to_string(), self.kind().into())];
+        let mut push = |key: &str, value: JsonValue| fields.push((key.to_string(), value));
+        match self {
+            PredictorSpec::Btb(config) if config.levels.len() > 1 => {
+                for (i, l) in config.levels.iter().enumerate() {
+                    push(&format!("l{}_entries", i + 1), l.entries.into());
+                    push(&format!("l{}_ways", i + 1), l.ways.into());
+                    push(&format!("l{}_latency", i + 1), l.latency.into());
+                }
+                push("policy", config.policy.as_str().into());
+                if let Direction::Counter {
+                    bits, threshold, ..
+                } = config.direction
+                {
+                    push("counter_bits", u64::from(bits).into());
+                    push("threshold", u64::from(threshold).into());
+                }
             }
-            PredictorSpec::Cbtb {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                strict_greater,
-            } => {
-                fields.push(("entries", entries.into()));
-                fields.push(("ways", ways.into()));
-                fields.push(("counter_bits", u64::from(counter_bits).into()));
-                fields.push(("threshold", u64::from(threshold).into()));
-                fields.push(("strict_greater", strict_greater.into()));
+            PredictorSpec::Btb(config) => {
+                push("entries", config.levels[0].entries.into());
+                push("ways", config.levels[0].ways.into());
+                if let Direction::Counter {
+                    bits,
+                    threshold,
+                    strict_greater,
+                } = config.direction
+                {
+                    push("counter_bits", u64::from(bits).into());
+                    push("threshold", u64::from(threshold).into());
+                    push("strict_greater", strict_greater.into());
+                }
             }
             PredictorSpec::Gshare {
                 table_bits,
@@ -406,55 +350,19 @@ impl PredictorSpec {
                 table_bits,
                 history_bits,
             } => {
-                fields.push(("table_bits", table_bits.into()));
-                fields.push(("history_bits", history_bits.into()));
-            }
-            PredictorSpec::Mlbtb {
-                l1_entries,
-                l1_ways,
-                l1_latency,
-                l2_entries,
-                l2_ways,
-                l2_latency,
-                staged,
-                counter_bits,
-                threshold,
-            } => {
-                fields.push(("l1_entries", l1_entries.into()));
-                fields.push(("l1_ways", l1_ways.into()));
-                fields.push(("l1_latency", l1_latency.into()));
-                fields.push(("l2_entries", l2_entries.into()));
-                fields.push(("l2_ways", l2_ways.into()));
-                fields.push(("l2_latency", l2_latency.into()));
-                fields.push(("policy", if staged { "staged" } else { "l1" }.into()));
-                fields.push(("counter_bits", u64::from(counter_bits).into()));
-                fields.push(("threshold", u64::from(threshold).into()));
+                push("table_bits", (*table_bits).into());
+                push("history_bits", (*history_bits).into());
             }
             _ => {}
         }
-        JsonValue::obj(fields)
+        JsonValue::Obj(fields)
     }
 
     /// Construct the predictor this spec describes.
     #[must_use]
     pub fn build(&self) -> Box<dyn BranchPredictor> {
-        match *self {
-            PredictorSpec::Sbtb { entries, ways } => {
-                Box::new(Sbtb::new(SbtbConfig { entries, ways }))
-            }
-            PredictorSpec::Cbtb {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                strict_greater,
-            } => Box::new(Cbtb::new(CbtbConfig {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                strict_greater,
-            })),
+        match self {
+            PredictorSpec::Btb(config) => Box::new(Btb::new(config.clone())),
             PredictorSpec::AlwaysTaken => Box::new(AlwaysTaken),
             PredictorSpec::AlwaysNotTaken => Box::new(AlwaysNotTaken),
             PredictorSpec::Btfn => Box::new(BackwardTakenForwardNot),
@@ -462,42 +370,11 @@ impl PredictorSpec {
             PredictorSpec::Gshare {
                 table_bits,
                 history_bits,
-            } => Box::new(Gshare::new(table_bits, history_bits)),
+            } => Box::new(Gshare::new(*table_bits, *history_bits)),
             PredictorSpec::Local {
                 table_bits,
                 history_bits,
-            } => Box::new(LocalHistory::new(table_bits, history_bits)),
-            PredictorSpec::Mlbtb {
-                l1_entries,
-                l1_ways,
-                l1_latency,
-                l2_entries,
-                l2_ways,
-                l2_latency,
-                staged,
-                counter_bits,
-                threshold,
-            } => Box::new(MlBtb::new(MlBtbConfig {
-                levels: vec![
-                    MlBtbLevel {
-                        entries: l1_entries,
-                        ways: l1_ways,
-                        latency: l1_latency,
-                    },
-                    MlBtbLevel {
-                        entries: l2_entries,
-                        ways: l2_ways,
-                        latency: l2_latency,
-                    },
-                ],
-                policy: if staged {
-                    FillPolicy::Staged
-                } else {
-                    FillPolicy::L1
-                },
-                counter_bits,
-                threshold,
-            })),
+            } => Box::new(LocalHistory::new(*table_bits, *history_bits)),
         }
     }
 }
@@ -789,13 +666,19 @@ mod tests {
         assert_eq!(req.seed, 1989);
         assert_eq!(
             req.predictors[0],
-            PredictorSpec::Cbtb {
-                entries: 256,
-                ways: 256,
-                counter_bits: 2,
-                threshold: 2,
-                strict_greater: false,
-            }
+            PredictorSpec::Btb(BtbConfig {
+                levels: vec![BtbLevel {
+                    entries: 256,
+                    ways: 256,
+                    latency: 0,
+                }],
+                policy: FillPolicy::L1,
+                direction: Direction::Counter {
+                    bits: 2,
+                    threshold: 2,
+                    strict_greater: false,
+                },
+            })
         );
         // Spelling differences disappear in the canonical key.
         let spelled = br#"{"predictors": [{"entries":256,"kind":"cbtb"},{"kind":"btfn"}],
@@ -811,17 +694,26 @@ mod tests {
         assert_eq!(req.bench.name, "dispatch");
         assert_eq!(
             req.predictors[0],
-            PredictorSpec::Mlbtb {
-                l1_entries: 64,
-                l1_ways: 4,
-                l1_latency: 0,
-                l2_entries: 2048,
-                l2_ways: 8,
-                l2_latency: 2,
-                staged: false,
-                counter_bits: 2,
-                threshold: 2,
-            }
+            PredictorSpec::Btb(BtbConfig {
+                levels: vec![
+                    BtbLevel {
+                        entries: 64,
+                        ways: 4,
+                        latency: 0,
+                    },
+                    BtbLevel {
+                        entries: 2048,
+                        ways: 8,
+                        latency: 2,
+                    },
+                ],
+                policy: FillPolicy::L1,
+                direction: Direction::Counter {
+                    bits: 2,
+                    threshold: 2,
+                    strict_greater: false,
+                },
+            })
         );
         assert_eq!(req.predictors[0].kind(), "mlbtb");
         assert_eq!(req.predictors[0].build().name(), "MLBTB");
@@ -851,6 +743,11 @@ mod tests {
             br#"{"bench": "wc", "predictors": [{"kind": "mlbtb", "policy": "lifo"}]}"#,
             br#"{"bench": "wc", "predictors": [{"kind": "mlbtb", "l1_entries": 24}]}"#,
             br#"{"bench": "wc", "predictors": [{"kind": "mlbtb", "threshold": 4}]}"#,
+            br#"{"bench": "wc", "predictors": [{"kind": "cbtb", "counter_bits": 8}]}"#,
+            br#"{"bench": "wc", "predictors": [{"kind": "cbtb", "threshold": 0}]}"#,
+            br#"{"bench": "wc", "predictors": [{"kind": "sbtb", "entries": 24, "ways": 2}]}"#,
+            br#"{"bench": "wc", "predictors": [{"kind": "sbtb", "entries": 10, "ways": 3}]}"#,
+            br#"{"bench": "wc", "predictors": [{"kind": "cbtb", "entries": 24, "ways": 2}]}"#,
         ];
         for body in cases {
             let err = SweepRequest::parse(body, &base()).unwrap_err();

@@ -902,7 +902,16 @@ fn sweep_result(
 
     // 1. Result cache (hash-validated; the chaos cache_read lane
     //    tampers with the stored body first so validation must catch
-    //    it and fall through to a recompute).
+    //    it and fall through to a recompute). The lookup runs under the
+    //    inflight lock (lock order inflight → cache; nothing nests them
+    //    the other way): a finished twin puts its body in the cache
+    //    before its guard retires the inflight slot, so this request
+    //    sees either the cached body or the still-registered slot, and
+    //    never computes the same body twice.
+    let mut inflight = state
+        .inflight
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let cached = {
         let mut span = parent.child("cache_lookup");
         let mut cache = state
@@ -933,10 +942,6 @@ fn sweep_result(
     //    the leader for this key.
     let (slot, leader) = {
         let mut span = parent.child("admission");
-        let mut inflight = state
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let (slot, leader) = match inflight.get(&key) {
             Some(slot) => (Arc::clone(slot), false),
             None => {
@@ -945,6 +950,7 @@ fn sweep_result(
                 (Arc::clone(&slot), true)
             }
         };
+        drop(inflight);
         span.arg("leader", u64::from(leader));
         (slot, leader)
     };

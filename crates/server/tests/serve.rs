@@ -319,6 +319,52 @@ fn identical_concurrent_requests_coalesce_or_hit_cache() {
 }
 
 #[test]
+fn concurrent_twins_never_compute_a_body_twice() {
+    // Each round fires identical fresh bodies at once. A twin that
+    // misses the cache just before the leader's put lands, and checks
+    // the inflight table just after the leader retires its slot,
+    // would compute the body a second time. Light bodies keep computes
+    // short, so leaders finish while their twins are mid-lookup.
+    const ROUNDS: usize = 24;
+    const TWINS: usize = 3;
+    let mut server = test_server(2, 64);
+    let addr = server.addr().to_string();
+    wait_ready(&addr);
+
+    for round in 0..ROUNDS {
+        let body = format!(
+            "{{\"bench\": \"wc\", \"predictors\": [{{\"kind\": \"always_taken\"}}], \
+             \"ras\": [{}]}}",
+            round + 1
+        );
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(TWINS));
+        let threads: Vec<_> = (0..TWINS)
+            .map(|_| {
+                let (addr, body, barrier) = (addr.clone(), body.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let resp = one_shot(&addr, "POST", "/v1/sweep", Some(&body)).unwrap();
+                    (resp.status, resp.text())
+                })
+            })
+            .collect();
+        let results: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        for (status, text) in &results {
+            assert_eq!(*status, 200, "{text}");
+            assert_eq!(text, &results[0].1, "twins must get byte-identical bodies");
+        }
+    }
+
+    let metrics = one_shot(&addr, "GET", "/metrics", None).unwrap().text();
+    assert_eq!(
+        metric_value(&metrics, "server_sweeps_computed"),
+        Some(ROUNDS as f64),
+        "one compute per distinct body\n{metrics}"
+    );
+    server.shutdown_and_join();
+}
+
+#[test]
 fn readyz_reports_draining_with_503_during_shutdown() {
     let mut server = test_server(1, 4);
     let addr = server.addr().to_string();

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (telemetry + server + bench, warnings are errors)"
-cargo clippy -p branchlab-telemetry -p branchlab-server -p branchlab-bench --all-targets -- -D warnings
+echo "==> cargo clippy (workspace, warnings are errors)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (workspace, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
