@@ -12,12 +12,16 @@
 //! (partial-result degradation, like the suite binaries).
 //! `--trace-out FILE` drops the run's capture/replay/scoring phase
 //! timing as Chrome trace-event JSON (open at ui.perfetto.dev).
+//! It takes only the [`STUDY_FLAGS`]: the suite's supervisor, fault
+//! and telemetry flags never reach a study, so they are usage errors.
 use branchlab::experiments::ablation::{self, StudySpec};
 use branchlab::experiments::{SweepStats, TraceStats};
+use branchlab::telemetry::cli;
 use branchlab::workloads::benchmark;
+use branchlab_bench::{Options, STUDY_FLAGS};
 
 fn main() {
-    let options = branchlab_bench::Options::from_args();
+    let options = cli::parse_env("ablation", STUDY_FLAGS, Options::parse_from);
     let cfg = &options.config;
     let spec = StudySpec::default();
     let trace_before = TraceStats::snapshot();

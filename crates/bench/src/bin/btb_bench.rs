@@ -22,12 +22,9 @@
 //! points additionally record per-level hit/miss/fill/evict counts and
 //! the promotion/demotion traffic.
 //!
-//! Usage:
-//! `btb_bench [--scale test|small|paper] [--seed N] [--out FILE]
-//! [--trace-cache DIR] [--benches A,B,...]`
-//!
-//! (Own argument parser, like `replay_bench`: `--out`/`--benches` are
-//! not part of the shared suite `Options`.)
+//! `btb_bench --help` lists the flags. Exit status: 0 when every
+//! point's replay and live scoring matched, 1 when one did not, 2 on a
+//! usage error.
 
 use branchlab::experiments::trace_replay::{cached_profile, captured_runs, replay_runs};
 use branchlab::experiments::{eval_predictors, eval_predictors_live, ExperimentConfig};
@@ -36,6 +33,7 @@ use branchlab::predict::{
     BranchPredictor, BtbStats, Cbtb, CbtbConfig, ForwardSemantic, MlBtb, MlBtbConfig, Sbtb,
     SbtbConfig,
 };
+use branchlab::telemetry::cli::{self, CliError, Flag};
 use branchlab::telemetry::JsonValue;
 use branchlab::workloads::{benchmark, Benchmark, Scale};
 
@@ -45,46 +43,31 @@ struct Args {
     benches: Vec<String>,
 }
 
-fn parse_args() -> Args {
-    const USAGE: &str = "usage: btb_bench [--scale test|small|paper] [--seed N] \
-[--out FILE] [--trace-cache DIR] [--benches A,B,...]";
-    let mut config = ExperimentConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_btb.json");
-    let mut benches: Vec<String> = vec!["dispatch".into(), "router".into()];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                config.scale = match args.next().unwrap_or_default().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale `{other}` (test|small|paper)"),
-                };
-            }
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--out" => out = args.next().expect("--out needs a file path").into(),
-            "--trace-cache" => {
-                config.trace_cache_dir =
-                    Some(args.next().expect("--trace-cache needs a directory").into());
-            }
-            "--benches" => {
-                let list = args.next().expect("--benches needs a comma list");
-                benches = list.split(',').map(str::trim).map(String::from).collect();
-            }
-            other => panic!("unknown argument `{other}`\n{USAGE}"),
+const FLAGS: &[Flag] = &[
+    ("--scale", Scale::NAMES),
+    ("--seed", "N"),
+    ("--out", "FILE"),
+    ("--trace-cache", "DIR"),
+    ("--benches", "A,B,..."),
+];
+
+fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
+    let mut a = Args {
+        config: ExperimentConfig::default(),
+        out: "BENCH_btb.json".into(),
+        benches: vec!["dispatch".into(), "router".into()],
+    };
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--scale" => a.config.scale = args.value()?,
+            "--seed" => a.config.seed = args.value()?,
+            "--out" => a.out = args.value()?,
+            "--trace-cache" => a.config.trace_cache_dir = Some(args.value()?),
+            "--benches" => a.benches = args.list()?,
+            other => return Err(CliError::Unknown(other.into())),
         }
     }
-    Args {
-        config,
-        out,
-        benches,
-    }
+    Ok(a)
 }
 
 /// One study point: a scheme at a geometry, rebuildable on demand so
@@ -287,7 +270,7 @@ fn study_bench(bench: &Benchmark, config: &ExperimentConfig) -> (JsonValue, bool
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_env("btb_bench", FLAGS, parse_args);
     let mut benches = Vec::new();
     let mut all_match = true;
     for name in &args.benches {
@@ -307,10 +290,7 @@ fn main() {
     };
     let report = JsonValue::obj(vec![
         ("tool", "btb_bench".into()),
-        (
-            "scale",
-            format!("{:?}", args.config.scale).to_lowercase().into(),
-        ),
+        ("scale", args.config.scale.name().into()),
         ("seed", args.config.seed.into()),
         ("stats_match", all_match.into()),
         (

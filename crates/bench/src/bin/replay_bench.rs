@@ -18,11 +18,6 @@
 //! `available_parallelism` so a ~1x "speedup" on a single-core runner
 //! is self-explaining.
 //!
-//! Usage:
-//! `replay_bench [--scale test|small|paper] [--seed N] [--out FILE]
-//! [--sweep-out FILE] [--sweep-threads N] [--trace-cache DIR]
-//! [--trace-out FILE] [--benches A,B,...]`
-//!
 //! A third phase measures the bit-parallel lane engine: a
 //! 26-configuration CBTB counter-family sweep (every
 //! `(counter_bits, threshold)` point at the paper's 256-entry
@@ -40,8 +35,8 @@
 //! Chrome trace-event JSON (open at ui.perfetto.dev); tracing is off
 //! unless requested, so benchmark numbers are unperturbed.
 //!
-//! (Own argument parser: this binary needs `--out`/`--benches`, which
-//! the shared suite `Options` intentionally does not know about.)
+//! `replay_bench --help` lists the flags. Exit status: 0 when every
+//! check passed, 1 when one failed, 2 on a usage error.
 
 use std::time::Instant;
 
@@ -51,6 +46,7 @@ use branchlab::experiments::{
     ExperimentConfig, ExperimentError, LaneStats, SweepBatch, SweepStats, Table, TraceStats,
 };
 use branchlab::predict::{BranchPredictor, Cbtb, CbtbConfig};
+use branchlab::telemetry::cli::{self, CliError, Flag};
 use branchlab::telemetry::JsonValue;
 use branchlab::workloads::{benchmark, Scale};
 
@@ -81,75 +77,46 @@ struct Args {
     benches: Vec<String>,
 }
 
-fn parse_args() -> Args {
-    const USAGE: &str = "usage: replay_bench [--scale test|small|paper] [--seed N] \
-[--out FILE] [--sweep-out FILE] [--lanes-out FILE] [--lanes-only] [--sweep-threads N] \
-[--trace-cache DIR] [--trace-out FILE] [--benches A,B,...]";
-    let mut config = ExperimentConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_replay.json");
-    let mut sweep_out = std::path::PathBuf::from("BENCH_sweep_parallel.json");
-    let mut lanes_out = std::path::PathBuf::from("BENCH_lanes.json");
-    let mut lanes_only = false;
-    let mut sweep_threads = None;
-    let mut trace_out = None;
-    let mut benches: Vec<String> = vec!["compress".into(), "cccp".into()];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                config.scale = match args.next().unwrap_or_default().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale `{other}` (test|small|paper)"),
-                };
-            }
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--out" => out = args.next().expect("--out needs a file path").into(),
-            "--sweep-out" => {
-                sweep_out = args.next().expect("--sweep-out needs a file path").into();
-            }
-            "--lanes-out" => {
-                lanes_out = args.next().expect("--lanes-out needs a file path").into();
-            }
-            "--lanes-only" => lanes_only = true,
-            "--sweep-threads" => {
-                sweep_threads = Some(
-                    args.next()
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .expect("--sweep-threads needs an integer")
-                        .max(1),
-                );
-            }
-            "--trace-cache" => {
-                config.trace_cache_dir =
-                    Some(args.next().expect("--trace-cache needs a directory").into());
-            }
-            "--trace-out" => {
-                trace_out = Some(args.next().expect("--trace-out needs a file path").into());
-            }
-            "--benches" => {
-                let list = args.next().expect("--benches needs a comma list");
-                benches = list.split(',').map(str::trim).map(String::from).collect();
-            }
-            other => panic!("unknown argument `{other}`\n{USAGE}"),
+const FLAGS: &[Flag] = &[
+    ("--scale", Scale::NAMES),
+    ("--seed", "N"),
+    ("--out", "FILE"),
+    ("--sweep-out", "FILE"),
+    ("--lanes-out", "FILE"),
+    ("--lanes-only", ""),
+    ("--sweep-threads", "N"),
+    ("--trace-cache", "DIR"),
+    ("--trace-out", "FILE"),
+    ("--benches", "A,B,..."),
+];
+
+fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
+    let mut a = Args {
+        config: ExperimentConfig::default(),
+        out: "BENCH_replay.json".into(),
+        sweep_out: "BENCH_sweep_parallel.json".into(),
+        lanes_out: "BENCH_lanes.json".into(),
+        lanes_only: false,
+        sweep_threads: None,
+        trace_out: None,
+        benches: vec!["compress".into(), "cccp".into()],
+    };
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--scale" => a.config.scale = args.value()?,
+            "--seed" => a.config.seed = args.value()?,
+            "--out" => a.out = args.value()?,
+            "--sweep-out" => a.sweep_out = args.value()?,
+            "--lanes-out" => a.lanes_out = args.value()?,
+            "--lanes-only" => a.lanes_only = true,
+            "--sweep-threads" => a.sweep_threads = Some(args.value::<usize>()?.max(1)),
+            "--trace-cache" => a.config.trace_cache_dir = Some(args.value()?),
+            "--trace-out" => a.trace_out = Some(args.value()?),
+            "--benches" => a.benches = args.list()?,
+            other => return Err(CliError::Unknown(other.into())),
         }
     }
-    Args {
-        config,
-        out,
-        sweep_out,
-        lanes_out,
-        lanes_only,
-        sweep_threads,
-        trace_out,
-        benches,
-    }
+    Ok(a)
 }
 
 /// The lane phase's sweep: every `(counter_bits, threshold)` point at
@@ -271,10 +238,7 @@ fn lanes_phase(args: &Args) -> bool {
         ),
         ("configs", (configs.len() as u64).into()),
         ("available_parallelism", (cores as u64).into()),
-        (
-            "scale",
-            format!("{:?}", args.config.scale).to_lowercase().into(),
-        ),
+        ("scale", args.config.scale.name().into()),
         ("seed", args.config.seed.into()),
         ("stats_match", all_match.into()),
         ("scalar_s", total_scalar.into()),
@@ -374,10 +338,7 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
         ("tool", "replay_bench/sweep_parallel".into()),
         ("threads", (threads as u64).into()),
         ("available_parallelism", (cores as u64).into()),
-        (
-            "scale",
-            format!("{:?}", args.config.scale).to_lowercase().into(),
-        ),
+        ("scale", args.config.scale.name().into()),
         ("seed", args.config.seed.into()),
         ("tables_match", all_match.into()),
         ("serial_s", total_serial.into()),
@@ -407,7 +368,7 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_env("replay_bench", FLAGS, parse_args);
     if args.lanes_only {
         if !lanes_phase(&args) {
             eprintln!("replay_bench: MISMATCH between lane-packed and scalar sweep stats");
@@ -480,10 +441,7 @@ fn main() {
             "per-point reinterpretation (one compile->profile->interpret pipeline per sweep point)"
                 .into(),
         ),
-        (
-            "scale",
-            format!("{:?}", args.config.scale).to_lowercase().into(),
-        ),
+        ("scale", args.config.scale.name().into()),
         ("seed", args.config.seed.into()),
         ("stats_match", all_match.into()),
         ("reinterpret_s", total_reinterpret.into()),

@@ -8,12 +8,11 @@
 //! already-running daemon instead — that is what the CI smoke uses,
 //! together with `--probe`, which only checks `/healthz`, polls
 //! `/readyz`, and fetches `/v1/benchmarks` + `/metrics` before
-//! exiting 0/1.
+//! exiting.
 //!
-//! Usage:
-//! `serve_bench [--url HOST:PORT] [--probe] [--connections N]
-//! [--requests N] [--distinct K] [--benches A,B,...]
-//! [--scale test|small|paper] [--seed N] [--workers N] [--out FILE]`
+//! `serve_bench --help` lists the flags. Exit status: 0 on success, 2
+//! on a usage error; a failed probe or a load run with request errors
+//! panics (exit 101).
 //!
 //! The request mix cycles through `--distinct K` distinct sweep bodies
 //! across `--benches`; with K smaller than the total request count the
@@ -26,8 +25,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use branchlab::server::client::Client;
-use branchlab::server::{parse_scale_arg, Server, ServerConfig, ServerHandle};
+use branchlab::server::{Server, ServerConfig, ServerHandle};
+use branchlab::telemetry::cli::{self, CliError, Flag};
 use branchlab::telemetry::{json, JsonValue};
+use branchlab::workloads::Scale;
 
 struct Args {
     url: Option<String>,
@@ -36,81 +37,54 @@ struct Args {
     requests: usize,
     distinct: usize,
     benches: Vec<String>,
-    scale: String,
+    scale: Scale,
     seed: u64,
     workers: usize,
     out: std::path::PathBuf,
 }
 
-fn parse_args() -> Args {
-    const USAGE: &str = "usage: serve_bench [--url HOST:PORT] [--probe] \
-[--connections N] [--requests N] [--distinct K] [--benches A,B,...] \
-[--scale test|small|paper] [--seed N] [--workers N] [--out FILE]";
-    let mut parsed = Args {
+const FLAGS: &[Flag] = &[
+    ("--url", "HOST:PORT"),
+    ("--probe", ""),
+    ("--connections", "N"),
+    ("--requests", "N"),
+    ("--distinct", "K"),
+    ("--benches", "A,B,..."),
+    ("--scale", Scale::NAMES),
+    ("--seed", "N"),
+    ("--workers", "N"),
+    ("--out", "FILE"),
+];
+
+fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
+    let mut a = Args {
         url: None,
         probe: false,
         connections: 4,
         requests: 200,
         distinct: 12,
         benches: vec!["wc".into(), "cmp".into(), "grep".into()],
-        scale: "test".into(),
+        scale: Scale::Test,
         seed: 1989,
         workers: 2,
-        out: std::path::PathBuf::from("BENCH_serve.json"),
+        out: "BENCH_serve.json".into(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--url" => parsed.url = Some(args.next().expect("--url needs HOST:PORT")),
-            "--probe" => parsed.probe = true,
-            "--connections" => {
-                parsed.connections = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--connections needs an integer");
-            }
-            "--requests" => {
-                parsed.requests = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--requests needs an integer");
-            }
-            "--distinct" => {
-                parsed.distinct = args
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .expect("--distinct needs an integer")
-                    .max(1);
-            }
-            "--benches" => {
-                let list = args.next().expect("--benches needs a comma list");
-                parsed.benches = list.split(',').map(str::trim).map(String::from).collect();
-            }
-            "--scale" => {
-                parsed.scale = args.next().expect("--scale needs a value");
-                assert!(
-                    parse_scale_arg(&parsed.scale).is_some(),
-                    "unknown scale `{}` (test|small|paper)",
-                    parsed.scale
-                );
-            }
-            "--seed" => {
-                parsed.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--workers" => {
-                parsed.workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--workers needs an integer");
-            }
-            "--out" => parsed.out = args.next().expect("--out needs a file path").into(),
-            other => panic!("unknown argument `{other}`\n{USAGE}"),
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--url" => a.url = Some(args.value()?),
+            "--probe" => a.probe = true,
+            "--connections" => a.connections = args.value()?,
+            "--requests" => a.requests = args.value()?,
+            "--distinct" => a.distinct = args.value::<usize>()?.max(1),
+            "--benches" => a.benches = args.list()?,
+            "--scale" => a.scale = args.value()?,
+            "--seed" => a.seed = args.value()?,
+            "--workers" => a.workers = args.value()?,
+            "--out" => a.out = args.value()?,
+            other => return Err(CliError::Unknown(other.into())),
         }
     }
-    parsed
+    Ok(a)
 }
 
 /// The K distinct sweep bodies the load cycles through.
@@ -203,7 +177,7 @@ fn scrape_counters(addr: &str) -> Vec<(String, f64)> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_env("serve_bench", FLAGS, parse_args);
 
     // Either target an external daemon or boot one in-process.
     let mut local: Option<ServerHandle> = None;
@@ -216,7 +190,7 @@ fn main() {
                 warm_benches: args.benches.clone(),
                 ..ServerConfig::default()
             };
-            config.experiment.scale = parse_scale_arg(&args.scale).expect("scale");
+            config.experiment.scale = args.scale;
             config.experiment.seed = args.seed;
             let handle = Server::start(config).expect("start in-process server");
             let addr = handle.addr().to_string();
@@ -298,7 +272,7 @@ fn main() {
     let counters = scrape_counters(&addr);
     let report = JsonValue::obj(vec![
         ("tool", "serve_bench".into()),
-        ("scale", args.scale.as_str().into()),
+        ("scale", args.scale.name().into()),
         ("seed", args.seed.into()),
         ("connections", args.connections.into()),
         ("requests", args.requests.into()),

@@ -7,7 +7,9 @@
 //! (under `benches/`) cover the interpreter, the predictors, and the
 //! Forward Semantic transform.
 //!
-//! Every binary accepts:
+//! Every table/figure binary parses the same [`FLAGS`] into
+//! [`Options`] through the shared [`cli`] layer (`<bin> --help` lists
+//! them; `ablation` takes only [`STUDY_FLAGS`]), among them:
 //!
 //! * `--scale test|small|paper` (default `small`)
 //! * `--seed N` (default 1989)
@@ -26,6 +28,9 @@
 //!   timelines as Chrome trace-event JSON (open in Perfetto or
 //!   `chrome://tracing`); off by default, so benchmark numbers are
 //!   never perturbed by tracing
+//!
+//! Exit status: 0 on success or `--help`, 1 when the run failed or is
+//! partial ([`EXIT_PARTIAL`]), 2 on a usage error.
 
 #![warn(missing_docs)]
 
@@ -36,6 +41,7 @@ use branchlab::experiments::{
     run_suite_supervised, BenchResult, ExperimentConfig, SuiteResult, SupervisorConfig, Table,
 };
 use branchlab::predict::PredStats;
+use branchlab::telemetry::cli::{self, Args, CliError, Flag};
 use branchlab::telemetry::manifest::BenchmarkRecord;
 use branchlab::telemetry::{JsonValue, MetricsRegistry, RunManifest};
 use branchlab::workloads::Scale;
@@ -73,129 +79,92 @@ pub struct Options {
     pub trace_out: Option<PathBuf>,
 }
 
-const USAGE: &str =
-    "usage: [--scale test|small|paper] [--seed N] [--markdown|--csv] [--no-verify] \
-[--telemetry-out DIR] [--trace-out FILE] [--trace-cache DIR] [--no-trace-replay] \
-[--sweep-threads N] \
-[--max-attempts N] \
-[--backoff-ms N] [--watchdog-ms N] [--checkpoint FILE] [--resume] [--fault-exec-rate R] \
-[--fault-panic-rate R] [--fault-delay-rate R] [--fault-delay-ms N] [--fault-seed N] \
-[--fault-benches A,B,...]";
+/// Every flag of the table/figure binaries. `ablation` accepts the
+/// first eight ([`STUDY_FLAGS`]): it never runs the supervised suite,
+/// so the rest would be ignored.
+pub const FLAGS: &[Flag] = &[
+    ("--scale", Scale::NAMES),
+    ("--seed", "N"),
+    ("--markdown", ""),
+    ("--csv", ""),
+    ("--trace-out", "FILE"),
+    ("--trace-cache", "DIR"),
+    ("--no-trace-replay", ""),
+    ("--sweep-threads", "N"),
+    ("--no-verify", ""),
+    ("--telemetry-out", "DIR"),
+    ("--max-attempts", "N"),
+    ("--backoff-ms", "N"),
+    ("--watchdog-ms", "N"),
+    ("--checkpoint", "FILE"),
+    ("--resume", ""),
+    ("--fault-exec-rate", "R"),
+    ("--fault-panic-rate", "R"),
+    ("--fault-delay-rate", "R"),
+    ("--fault-delay-ms", "N"),
+    ("--fault-seed", "N"),
+    ("--fault-benches", "A,B,..."),
+];
+
+/// The flags of `ablation`, a prefix of [`FLAGS`].
+pub const STUDY_FLAGS: &[Flag] = FLAGS.split_at(8).0;
 
 impl Options {
-    /// Parse `std::env::args`.
+    /// Parse an explicit argument list (everything after the binary
+    /// name) against [`FLAGS`].
     ///
-    /// # Panics
-    /// Panics with a usage message on unknown arguments.
-    #[must_use]
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// # Errors
+    /// A [`CliError`] naming the flag at fault.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
+        Self::parse_from(&mut Args::new(args, FLAGS))
     }
 
-    /// Parse an explicit argument list (everything after the binary
-    /// name).
+    /// Parse the flags under a cursor; the suite binaries hand this to
+    /// [`cli::parse_env`] with [`FLAGS`] or [`STUDY_FLAGS`].
     ///
-    /// # Panics
-    /// Panics with a usage message on unknown arguments.
-    #[must_use]
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut config = ExperimentConfig::default();
-        let mut supervisor = SupervisorConfig::default();
-        let mut format = Format::Text;
-        let mut telemetry_out = None;
-        let mut trace_out = None;
-        let mut args = args.into_iter();
-        let next_u64 = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
-            args.next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs an integer"))
+    /// # Errors
+    /// A [`CliError`] naming the flag at fault.
+    pub fn parse_from(args: &mut Args) -> Result<Self, CliError> {
+        let mut o = Options {
+            config: ExperimentConfig::default(),
+            supervisor: SupervisorConfig::default(),
+            format: Format::Text,
+            telemetry_out: None,
+            trace_out: None,
         };
-        let next_rate = |args: &mut dyn Iterator<Item = String>, flag: &str| -> f64 {
-            let r: f64 = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs a rate in [0, 1]"));
-            assert!((0.0..=1.0).contains(&r), "{flag} needs a rate in [0, 1]");
-            r
-        };
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    let v = args.next().unwrap_or_default();
-                    config.scale = match v.as_str() {
-                        "test" => Scale::Test,
-                        "small" => Scale::Small,
-                        "paper" => Scale::Paper,
-                        other => panic!("unknown scale `{other}` (test|small|paper)"),
-                    };
-                }
-                "--seed" => config.seed = next_u64(&mut args, "--seed"),
-                "--markdown" => format = Format::Markdown,
-                "--csv" => format = Format::Csv,
+        let (config, supervisor) = (&mut o.config, &mut o.supervisor);
+        while let Some(flag) = args.next_flag()? {
+            match flag {
+                "--scale" => config.scale = args.value()?,
+                "--seed" => config.seed = args.value()?,
+                "--markdown" => o.format = Format::Markdown,
+                "--csv" => o.format = Format::Csv,
+                "--trace-out" => o.trace_out = Some(args.value()?),
+                "--trace-cache" => config.trace_cache_dir = Some(args.value()?),
+                "--no-trace-replay" => config.use_trace_replay = false,
+                "--sweep-threads" => config.sweep_threads = Some(args.value::<usize>()?.max(1)),
                 "--no-verify" => config.verify_equivalence = false,
                 "--telemetry-out" => {
-                    let dir = args.next().expect("--telemetry-out needs a directory");
                     config.collect_site_telemetry = true;
-                    telemetry_out = Some(PathBuf::from(dir));
+                    o.telemetry_out = Some(args.value()?);
                 }
-                "--trace-out" => {
-                    let file = args.next().expect("--trace-out needs a file path");
-                    trace_out = Some(PathBuf::from(file));
-                }
-                "--trace-cache" => {
-                    let dir = args.next().expect("--trace-cache needs a directory");
-                    config.trace_cache_dir = Some(PathBuf::from(dir));
-                }
-                "--no-trace-replay" => config.use_trace_replay = false,
-                "--sweep-threads" => {
-                    config.sweep_threads =
-                        Some((next_u64(&mut args, "--sweep-threads") as usize).max(1));
-                }
-                "--max-attempts" => {
-                    supervisor.max_attempts = next_u64(&mut args, "--max-attempts").max(1) as u32;
-                }
-                "--backoff-ms" => {
-                    supervisor.backoff_base =
-                        Duration::from_millis(next_u64(&mut args, "--backoff-ms"));
-                }
+                "--max-attempts" => supervisor.max_attempts = args.value::<u32>()?.max(1),
+                "--backoff-ms" => supervisor.backoff_base = Duration::from_millis(args.value()?),
                 "--watchdog-ms" => {
-                    supervisor.watchdog =
-                        Some(Duration::from_millis(next_u64(&mut args, "--watchdog-ms")));
+                    supervisor.watchdog = Some(Duration::from_millis(args.value()?));
                 }
-                "--checkpoint" => {
-                    let file = args.next().expect("--checkpoint needs a file path");
-                    supervisor.checkpoint = Some(PathBuf::from(file));
-                }
+                "--checkpoint" => supervisor.checkpoint = Some(args.value()?),
                 "--resume" => supervisor.resume = true,
-                "--fault-exec-rate" => {
-                    config.fault.exec_error_rate = next_rate(&mut args, "--fault-exec-rate");
-                }
-                "--fault-panic-rate" => {
-                    config.fault.panic_rate = next_rate(&mut args, "--fault-panic-rate");
-                }
-                "--fault-delay-rate" => {
-                    config.fault.delay_rate = next_rate(&mut args, "--fault-delay-rate");
-                }
-                "--fault-delay-ms" => {
-                    config.fault.delay =
-                        Duration::from_millis(next_u64(&mut args, "--fault-delay-ms"));
-                }
-                "--fault-seed" => config.fault.seed = next_u64(&mut args, "--fault-seed"),
-                "--fault-benches" => {
-                    let list = args.next().expect("--fault-benches needs a comma list");
-                    config.fault.benches =
-                        list.split(',').map(str::trim).map(String::from).collect();
-                }
-                other => panic!("unknown argument `{other}`\n{USAGE}"),
+                "--fault-exec-rate" => config.fault.exec_error_rate = args.rate()?,
+                "--fault-panic-rate" => config.fault.panic_rate = args.rate()?,
+                "--fault-delay-rate" => config.fault.delay_rate = args.rate()?,
+                "--fault-delay-ms" => config.fault.delay = Duration::from_millis(args.value()?),
+                "--fault-seed" => config.fault.seed = args.value()?,
+                "--fault-benches" => config.fault.benches = args.list()?,
+                other => return Err(CliError::Unknown(other.into())),
             }
         }
-        Options {
-            config,
-            supervisor,
-            format,
-            telemetry_out,
-            trace_out,
-        }
+        Ok(o)
     }
 
     /// Render a table in the selected format.
@@ -261,7 +230,7 @@ pub fn suite(options: &Options) -> SuiteResult {
 /// Panics on an unwritable telemetry directory (these binaries are
 /// terminal tools); benchmark failures degrade instead of panicking.
 pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
-    let options = Options::from_args();
+    let options = cli::parse_env(tool, FLAGS, Options::parse_from);
     let suite = suite(&options);
     emit(&options, &suite);
     if let Some(dir) = &options.telemetry_out {
@@ -356,7 +325,7 @@ pub fn write_telemetry(
 ) -> std::io::Result<PathBuf> {
     let mut manifest = RunManifest::new(tool);
     let cfg = &options.config;
-    manifest.set_config("scale", format!("{:?}", cfg.scale).to_lowercase().as_str());
+    manifest.set_config("scale", cfg.scale.name());
     manifest.set_config("seed", cfg.seed);
     manifest.set_config("fs_slots", u64::from(cfg.fs_slots));
     manifest.set_config("cbtb_strict", cfg.cbtb_strict);
@@ -459,7 +428,7 @@ mod tests {
 
     #[test]
     fn default_options_are_small_scale() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert_eq!(o.config.seed, 1989);
         assert!(matches!(o.config.scale, Scale::Small));
         assert!(o.telemetry_out.is_none());
@@ -495,7 +464,8 @@ mod tests {
                 "wc, grep",
             ]
             .map(String::from),
-        );
+        )
+        .unwrap();
         assert_eq!(o.supervisor.max_attempts, 5);
         assert_eq!(o.supervisor.backoff_base, Duration::from_millis(7));
         assert_eq!(o.supervisor.watchdog, Some(Duration::from_millis(250)));
@@ -515,9 +485,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rate in [0, 1]")]
     fn out_of_range_rates_rejected() {
-        let _ = Options::parse(["--fault-exec-rate".to_string(), "1.5".to_string()]);
+        let err = Options::parse(["--fault-exec-rate".to_string(), "1.5".to_string()]).unwrap_err();
+        assert!(
+            matches!(err, CliError::BadValue("--fault-exec-rate", _, _)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("rate in [0, 1]"), "{err}");
     }
 
     #[test]
@@ -534,7 +508,8 @@ mod tests {
                 "/tmp/t",
             ]
             .map(String::from),
-        );
+        )
+        .unwrap();
         assert!(matches!(o.config.scale, Scale::Test));
         assert_eq!(o.config.seed, 7);
         assert_eq!(o.format, Format::Csv);
@@ -550,32 +525,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn unknown_flag_rejected() {
-        let _ = Options::parse(["--bogus".to_string()]);
+        let err = Options::parse(["--bogus".to_string()]).unwrap_err();
+        assert_eq!(err, CliError::Unknown("--bogus".to_string()));
+        assert!(err.to_string().contains("unknown argument"), "{err}");
     }
 
     #[test]
     fn sweep_threads_flag_parses_and_clamps() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert!(
             o.config.sweep_threads.is_none(),
             "default defers to env/cores"
         );
-        let o = Options::parse(["--sweep-threads", "6"].map(String::from));
+        let o = Options::parse(["--sweep-threads", "6"].map(String::from)).unwrap();
         assert_eq!(o.config.sweep_threads, Some(6));
         assert_eq!(o.config.resolved_sweep_threads(), 6);
-        let o = Options::parse(["--sweep-threads", "0"].map(String::from));
+        let o = Options::parse(["--sweep-threads", "0"].map(String::from)).unwrap();
         assert_eq!(o.config.sweep_threads, Some(1), "0 clamps to serial");
     }
 
     #[test]
     fn trace_flags_parse() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert!(o.config.use_trace_replay, "replay is the default");
         assert!(o.config.trace_cache_dir.is_none());
         let o =
-            Options::parse(["--trace-cache", "/tmp/traces", "--no-trace-replay"].map(String::from));
+            Options::parse(["--trace-cache", "/tmp/traces", "--no-trace-replay"].map(String::from))
+                .unwrap();
         assert!(!o.config.use_trace_replay);
         assert_eq!(
             o.config.trace_cache_dir.as_deref(),
@@ -585,9 +562,9 @@ mod tests {
 
     #[test]
     fn trace_out_flag_parses_and_defaults_off() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert!(o.trace_out.is_none(), "tracing export is opt-in");
-        let o = Options::parse(["--trace-out", "/tmp/run.trace.json"].map(String::from));
+        let o = Options::parse(["--trace-out", "/tmp/run.trace.json"].map(String::from)).unwrap();
         assert_eq!(
             o.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/run.trace.json"))
@@ -595,10 +572,26 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_flag_is_handled() {
+        for (name, value) in FLAGS {
+            let sample = match *value {
+                "" => None,
+                "N" => Some("1"),
+                "R" => Some("0.5"),
+                "A,B,..." => Some("wc"),
+                v if v == Scale::NAMES => Some("test"),
+                _ => Some("/tmp/x"),
+            };
+            let line = std::iter::once(name.to_string()).chain(sample.map(String::from));
+            assert!(Options::parse(line).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
     fn render_selects_format() {
         let mut t = Table::new("t", &["a"]);
         t.row(vec!["1".into()]);
-        let mut o = Options::parse(Vec::new());
+        let mut o = Options::parse(Vec::new()).unwrap();
         o.format = Format::Csv;
         assert!(o.render(&t).starts_with("a\n"));
         o.format = Format::Markdown;

@@ -191,16 +191,18 @@ impl<'a> SweepBatch<'a> {
         let group_sizes: Vec<usize> = self.groups.iter().map(Vec::len).collect();
         let points: Vec<Box<dyn BranchPredictor>> = self.groups.into_iter().flatten().collect();
         let n_points = points.len();
+        let mut lanes = LaneStats::default();
         let (scalars, mut families) = if self.config.use_lane_scoring {
             let (scalars, families) = plan_lanes(points);
-            note_lanes(&LaneStats {
+            lanes = LaneStats {
                 passes: 1,
                 families: families.len() as u64,
                 lanes: families.iter().map(|f| f.indices.len() as u64).sum(),
                 scalar_points: scalars.len() as u64,
                 // Every family walks the complete stream exactly once.
                 events: families.len() as u64 * runs.iter().map(TraceBuf::events).sum::<u64>(),
-            });
+            };
+            note_lanes(&lanes);
             (scalars, families)
         } else {
             (points.into_iter().enumerate().collect(), Vec::new())
@@ -211,8 +213,9 @@ impl<'a> SweepBatch<'a> {
         let mut ras = self.ras;
         let threads = self.config.resolved_sweep_threads();
         let work_items = evals.len() + families.len() + usize::from(!ras.is_empty());
+        let mut sweep = SweepStats::default();
         if threads > 1 && work_items > 1 {
-            (evals, families, ras) = score_parallel(
+            (evals, families, ras, sweep) = score_parallel(
                 &runs,
                 evals,
                 families,
@@ -257,7 +260,12 @@ impl<'a> SweepBatch<'a> {
             .into_iter()
             .map(|n| stats.by_ref().take(n).collect())
             .collect();
-        Ok(SweepResults { groups, ras })
+        Ok(SweepResults {
+            groups,
+            ras,
+            sweep,
+            lanes,
+        })
     }
 
     /// The re-interpretation baseline: one live pass per group (the
@@ -300,7 +308,12 @@ impl<'a> SweepBatch<'a> {
                 }
             }
         }
-        Ok(SweepResults { groups, ras })
+        Ok(SweepResults {
+            groups,
+            ras,
+            sweep: SweepStats::default(),
+            lanes: LaneStats::default(),
+        })
     }
 }
 
@@ -308,6 +321,8 @@ impl<'a> SweepBatch<'a> {
 pub struct SweepResults {
     groups: Vec<Vec<PredStats>>,
     ras: Vec<ReturnAddressStack>,
+    sweep: SweepStats,
+    lanes: LaneStats,
 }
 
 impl SweepResults {
@@ -322,6 +337,21 @@ impl SweepResults {
     #[must_use]
     pub fn ras(&self, ticket: RasTicket) -> &[ReturnAddressStack] {
         &self.ras[ticket.start..ticket.start + ticket.len]
+    }
+
+    /// The parallel-sweep counters of this batch's own scoring pass
+    /// (all zero when it scored on one thread or ran live). Unlike a
+    /// [`SweepStats::snapshot`] diff, no concurrent sweep leaks in.
+    #[must_use]
+    pub fn sweep_stats(&self) -> SweepStats {
+        self.sweep
+    }
+
+    /// The lane-planner counters of this batch's own scoring pass (all
+    /// zero when lane scoring was off or it ran live).
+    #[must_use]
+    pub fn lane_stats(&self) -> LaneStats {
+        self.lanes
     }
 }
 
@@ -560,7 +590,15 @@ fn score_parallel(
     total_points: usize,
     threads: usize,
     trace: Option<&SpanLink>,
-) -> Result<(BoxedEvals, Vec<LaneFamilyWork>, Vec<ReturnAddressStack>), ExperimentError> {
+) -> Result<
+    (
+        BoxedEvals,
+        Vec<LaneFamilyWork>,
+        Vec<ReturnAddressStack>,
+        SweepStats,
+    ),
+    ExperimentError,
+> {
     let n_scalar = evals.len();
     let chunk = n_scalar.div_ceil(threads * 3).max(1);
     let mut queue: Vec<WorkItem> = Vec::new();
@@ -659,7 +697,7 @@ fn score_parallel(
         .map(|e| e.expect("every scored work item was merged"))
         .collect();
 
-    note_sweep(&SweepStats {
+    let sweep = SweepStats {
         sweeps: 1,
         workers: workers as u64,
         points: total_points as u64,
@@ -670,8 +708,9 @@ fn score_parallel(
             .elapsed()
             .as_micros()
             .min(u128::from(u64::MAX)) as u64,
-    });
-    Ok((out_evals, out_families, out_ras))
+    };
+    note_sweep(&sweep);
+    Ok((out_evals, out_families, out_ras, sweep))
 }
 
 #[cfg(test)]
@@ -734,7 +773,6 @@ mod tests {
                 sweep_threads: Some(threads),
                 ..ExperimentConfig::test()
             };
-            let before = SweepStats::snapshot();
             let (batch, pa, pb, pr) = plan(bench, &cfg);
             let parallel = batch.run().unwrap();
             assert_eq!(parallel.stats(pa), serial.stats(sa), "threads={threads}");
@@ -744,7 +782,7 @@ mod tests {
             for (p, s) in par.iter().zip(ser) {
                 assert_eq!((p.returns, p.correct), (s.returns, s.correct));
             }
-            let delta = SweepStats::snapshot().since(&before);
+            let delta = parallel.sweep_stats();
             assert_eq!(delta.sweeps, 1, "threads={threads}");
             assert_eq!(delta.points, 4, "threads={threads}");
             assert!(delta.batches >= 2, "threads={threads} {delta:?}");
@@ -877,6 +915,18 @@ mod tests {
         assert!(delta.lanes >= 7, "{delta:?}");
         assert!(delta.scalar_points >= 2, "{delta:?}");
         assert!(delta.events > 0, "{delta:?}");
+        // The batch's own counters are exact: no concurrent test leaks in.
+        let own = laned.lane_stats();
+        assert_eq!(
+            (own.passes, own.families, own.lanes, own.scalar_points),
+            (1, 3, 7, 2),
+            "{own:?}"
+        );
+        assert_eq!(
+            laned.sweep_stats(),
+            SweepStats::default(),
+            "scored serially"
+        );
     }
 
     #[test]

@@ -43,11 +43,7 @@ use crate::harness::{ExperimentConfig, ExperimentError};
 /// `"paper"`), as used in trace keys and request canonicalization.
 #[must_use]
 pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
+    scale.name()
 }
 
 /// The cache key identifying one benchmark's trace under one input

@@ -397,14 +397,9 @@ pub struct SweepRequest {
 }
 
 fn parse_scale(v: &JsonValue) -> Result<Scale, ApiError> {
-    match v.as_str() {
-        Some("test") => Ok(Scale::Test),
-        Some("small") => Ok(Scale::Small),
-        Some("paper") => Ok(Scale::Paper),
-        _ => Err(ApiError::BadRequest(
-            "`scale` must be \"test\", \"small\", or \"paper\"".into(),
-        )),
-    }
+    v.as_str().and_then(|s| s.parse().ok()).ok_or_else(|| {
+        ApiError::BadRequest("`scale` must be \"test\", \"small\", or \"paper\"".into())
+    })
 }
 
 impl SweepRequest {

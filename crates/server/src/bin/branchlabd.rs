@@ -4,18 +4,9 @@
 //! the suite traces, and serves until SIGTERM/SIGINT, at which point
 //! it drains in-flight work and exits 0.
 //!
-//! ```text
-//! branchlabd [--listen ADDR] [--scale test|small|paper] [--seed N]
-//!            [--workers N] [--queue N] [--cache N]
-//!            [--deadline-ms N] [--addr-file PATH]
-//!            [--warm bench1,bench2,...]
-//!            [--recorder N] [--slow-ms N] [--slow-log FILE]
-//!            [--trace-out FILE]
-//!            [--spill-dir DIR] [--spill-every SECS]
-//!            [--chaos-seed N] [--chaos-panic-rate P]
-//!            [--chaos-delay-rate P] [--chaos-delay-ms N]
-//!            [--chaos-cache-corrupt-rate P] [--chaos-spill-fail-rate P]
-//! ```
+//! `branchlabd --help` lists the flags. Exit status: 0 after a clean
+//! drain (or `--help`), 1 when binding or writing `--addr-file` fails,
+//! 2 on a usage error.
 //!
 //! `--trace-out` writes the flight recorder's retained request traces
 //! as Chrome trace-event JSON at shutdown (open in Perfetto);
@@ -30,10 +21,13 @@
 //! — for drills and the CI chaos smoke; see
 //! `branchlab_server::chaos`.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use branchlab_server::{parse_scale_arg, Server, ServerConfig};
+use branchlab_server::{Server, ServerConfig};
+use branchlab_telemetry::cli::{self, Args, CliError, Flag};
+use branchlab_workloads::Scale;
 
 /// Set from the signal handler; polled by the main loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -69,162 +63,80 @@ mod sig {
     pub fn install() {}
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: branchlabd [--listen ADDR] [--scale test|small|paper] [--seed N]\n\
-         \x20                 [--workers N] [--queue N] [--cache N]\n\
-         \x20                 [--deadline-ms N] [--addr-file PATH] [--warm a,b,...]\n\
-         \x20                 [--recorder N] [--slow-ms N] [--slow-log FILE]\n\
-         \x20                 [--trace-out FILE]\n\
-         \x20                 [--spill-dir DIR] [--spill-every SECS]\n\
-         \x20                 [--chaos-seed N] [--chaos-panic-rate P]\n\
-         \x20                 [--chaos-delay-rate P] [--chaos-delay-ms N]\n\
-         \x20                 [--chaos-cache-corrupt-rate P] [--chaos-spill-fail-rate P]"
-    );
-    std::process::exit(2)
+const FLAGS: &[Flag] = &[
+    ("--listen", "ADDR"),
+    ("--addr-file", "PATH"),
+    ("--scale", Scale::NAMES),
+    ("--seed", "N"),
+    ("--workers", "N"),
+    ("--queue", "N"),
+    ("--cache", "N"),
+    ("--deadline-ms", "N"),
+    ("--warm", "A,B,..."),
+    ("--recorder", "N"),
+    ("--slow-ms", "N"),
+    ("--slow-log", "FILE"),
+    ("--trace-out", "FILE"),
+    ("--spill-dir", "DIR"),
+    ("--spill-every", "SECS"),
+    ("--chaos-seed", "N"),
+    ("--chaos-panic-rate", "P"),
+    ("--chaos-delay-rate", "P"),
+    ("--chaos-delay-ms", "N"),
+    ("--chaos-cache-corrupt-rate", "P"),
+    ("--chaos-spill-fail-rate", "P"),
+];
+
+struct Cli {
+    config: ServerConfig,
+    addr_file: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
 }
 
-/// Parse a probability flag value in `[0, 1]`.
-fn parse_rate(s: &str) -> f64 {
-    match s.parse::<f64>() {
-        Ok(rate) if (0.0..=1.0).contains(&rate) => rate,
-        _ => {
-            eprintln!("branchlabd: chaos rates must be in [0, 1], got `{s}`");
-            usage()
-        }
-    }
-}
-
-fn parse_args() -> (
-    ServerConfig,
-    Option<std::path::PathBuf>,
-    Option<std::path::PathBuf>,
-) {
-    let mut config = ServerConfig::default();
-    let mut addr_file = None;
-    let mut trace_out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("branchlabd: {name} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--listen" => config.addr = value("--listen"),
-            "--addr-file" => addr_file = Some(std::path::PathBuf::from(value("--addr-file"))),
-            "--scale" => {
-                let s = value("--scale");
-                config.experiment.scale = parse_scale_arg(&s).unwrap_or_else(|| {
-                    eprintln!("branchlabd: bad --scale `{s}`");
-                    usage()
-                });
-            }
-            "--seed" => {
-                config.experiment.seed = value("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --seed");
-                    usage()
-                });
-            }
-            "--workers" => {
-                config.workers = value("--workers").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --workers");
-                    usage()
-                });
-            }
-            "--queue" => {
-                config.queue_cap = value("--queue").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --queue");
-                    usage()
-                });
-            }
-            "--cache" => {
-                config.cache_cap = value("--cache").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --cache");
-                    usage()
-                });
-            }
-            "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --deadline-ms");
-                    usage()
-                });
-                config.default_deadline = Duration::from_millis(ms);
-            }
-            "--warm" => {
-                config.warm_benches = value("--warm")
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--recorder" => {
-                config.flight_recorder_cap = value("--recorder").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --recorder");
-                    usage()
-                });
-            }
-            "--slow-ms" => {
-                let ms: u64 = value("--slow-ms").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --slow-ms");
-                    usage()
-                });
-                config.slow_ms = Some(ms);
-            }
-            "--slow-log" => {
-                config.slow_log = Some(std::path::PathBuf::from(value("--slow-log")));
-            }
-            "--trace-out" => {
-                trace_out = Some(std::path::PathBuf::from(value("--trace-out")));
-            }
-            "--spill-dir" => {
-                config.spill_dir = Some(std::path::PathBuf::from(value("--spill-dir")));
-            }
+fn parse_args(args: &mut Args) -> Result<Cli, CliError> {
+    let mut cli = Cli {
+        config: ServerConfig::default(),
+        addr_file: None,
+        trace_out: None,
+    };
+    let config = &mut cli.config;
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--listen" => config.addr = args.value()?,
+            "--addr-file" => cli.addr_file = Some(args.value()?),
+            "--scale" => config.experiment.scale = args.value()?,
+            "--seed" => config.experiment.seed = args.value()?,
+            "--workers" => config.workers = args.value()?,
+            "--queue" => config.queue_cap = args.value()?,
+            "--cache" => config.cache_cap = args.value()?,
+            "--deadline-ms" => config.default_deadline = Duration::from_millis(args.value()?),
+            "--warm" => config.warm_benches = args.list()?,
+            "--recorder" => config.flight_recorder_cap = args.value()?,
+            "--slow-ms" => config.slow_ms = Some(args.value()?),
+            "--slow-log" => config.slow_log = Some(args.value()?),
+            "--trace-out" => cli.trace_out = Some(args.value()?),
+            "--spill-dir" => config.spill_dir = Some(args.value()?),
             "--spill-every" => {
-                let secs: u64 = value("--spill-every").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --spill-every");
-                    usage()
-                });
-                config.spill_every = Duration::from_secs(secs.max(1));
+                config.spill_every = Duration::from_secs(args.value::<u64>()?.max(1));
             }
-            "--chaos-seed" => {
-                config.chaos.seed = value("--chaos-seed").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --chaos-seed");
-                    usage()
-                });
-            }
-            "--chaos-panic-rate" => {
-                config.chaos.worker_panic_rate = parse_rate(&value("--chaos-panic-rate"));
-            }
-            "--chaos-delay-rate" => {
-                config.chaos.slow_compute_rate = parse_rate(&value("--chaos-delay-rate"));
-            }
-            "--chaos-delay-ms" => {
-                let ms: u64 = value("--chaos-delay-ms").parse().unwrap_or_else(|_| {
-                    eprintln!("branchlabd: bad --chaos-delay-ms");
-                    usage()
-                });
-                config.chaos.delay = Duration::from_millis(ms);
-            }
-            "--chaos-cache-corrupt-rate" => {
-                config.chaos.cache_corrupt_rate = parse_rate(&value("--chaos-cache-corrupt-rate"));
-            }
-            "--chaos-spill-fail-rate" => {
-                config.chaos.spill_fail_rate = parse_rate(&value("--chaos-spill-fail-rate"));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("branchlabd: unknown argument `{other}`");
-                usage()
-            }
+            "--chaos-seed" => config.chaos.seed = args.value()?,
+            "--chaos-panic-rate" => config.chaos.worker_panic_rate = args.rate()?,
+            "--chaos-delay-rate" => config.chaos.slow_compute_rate = args.rate()?,
+            "--chaos-delay-ms" => config.chaos.delay = Duration::from_millis(args.value()?),
+            "--chaos-cache-corrupt-rate" => config.chaos.cache_corrupt_rate = args.rate()?,
+            "--chaos-spill-fail-rate" => config.chaos.spill_fail_rate = args.rate()?,
+            other => return Err(CliError::Unknown(other.into())),
         }
     }
-    (config, addr_file, trace_out)
+    Ok(cli)
 }
 
 fn main() {
-    let (config, addr_file, trace_out) = parse_args();
+    let Cli {
+        config,
+        addr_file,
+        trace_out,
+    } = cli::parse_env("branchlabd", FLAGS, parse_args);
     sig::install();
 
     let mut handle = match Server::start(config) {

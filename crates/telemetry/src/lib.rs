@@ -25,9 +25,13 @@
 //!   tests.
 //! * [`rng`] — a seedable SplitMix64 PRNG standing in for the `rand`
 //!   crate in workload input generation and randomized tests.
+//! * [`cli`] — the command-line layer every binary shares: a flag
+//!   cursor with typed getters, one [`CliError`](cli::CliError), and
+//!   one exit path (0 help, 2 usage error).
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod json;
 pub mod manifest;
 pub mod metrics;

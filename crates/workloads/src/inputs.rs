@@ -20,6 +20,9 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The accepted spellings, as shown in usage text and errors.
+    pub const NAMES: &'static str = "test|small|paper";
+
     /// A size knob: roughly the number of "units" (lines, records,
     /// expressions…) a generator should produce.
     #[must_use]
@@ -30,6 +33,34 @@ impl Scale {
             Scale::Paper => 12_000,
         }
     }
+
+    /// The canonical short name (`"test"` / `"small"` / `"paper"`), as
+    /// used on command lines, in trace keys and in request
+    /// canonicalization.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parse a canonical [`Scale::name`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        [Scale::Test, Scale::Small, Scale::Paper]
+            .into_iter()
+            .find(|scale| scale.name() == s)
+            .ok_or_else(|| format!("unknown scale `{s}` ({})", Scale::NAMES))
+    }
+}
+
+impl branchlab_telemetry::cli::FlagValue for Scale {
+    const EXPECTED: &'static str = Scale::NAMES;
 }
 
 const WORDS: &[&str] = &[
@@ -373,6 +404,17 @@ mod tests {
 
     fn rng(seed: u64) -> Rng {
         Rng::seed_from_u64(seed)
+    }
+
+    #[test]
+    fn scale_names_round_trip() {
+        for scale in [Scale::Test, Scale::Small, Scale::Paper] {
+            assert_eq!(scale.name().parse(), Ok(scale));
+            assert!(Scale::NAMES.split('|').any(|n| n == scale.name()));
+        }
+        for bad in ["huge", "Test", "", " small"] {
+            assert!(bad.parse::<Scale>().is_err(), "{bad}");
+        }
     }
 
     #[test]

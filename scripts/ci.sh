@@ -15,6 +15,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> CLI smoke: every binary exits 0 on --help and 2 on a bad flag, never panicking"
+for bin in table1 table2 table3 table4 table5 fig3 fig4 report ablation \
+    replay_bench btb_bench serve_bench branchlabd; do
+    status=0
+    err="$(target/release/"$bin" --help 2>&1 >/dev/null)" || status=$?
+    [[ $status -eq 0 && $err != *panicked* ]] \
+        || { echo "cli smoke: $bin --help exited $status: $err" >&2; exit 1; }
+    status=0
+    err="$(target/release/"$bin" --no-such-flag 2>&1 >/dev/null)" || status=$?
+    [[ $status -eq 2 && $err == *--no-such-flag* && $err != *panicked* ]] \
+        || { echo "cli smoke: $bin --no-such-flag exited $status: $err" >&2; exit 1; }
+done
+
 echo "==> cargo test"
 cargo test --workspace -q
 
