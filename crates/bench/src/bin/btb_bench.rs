@@ -36,11 +36,12 @@ use branchlab::predict::{
 use branchlab::telemetry::cli::{self, CliError, Flag};
 use branchlab::telemetry::JsonValue;
 use branchlab::workloads::{benchmark, Benchmark, Scale};
+use branchlab_bench::benches_flag;
 
 struct Args {
     config: ExperimentConfig,
     out: std::path::PathBuf,
-    benches: Vec<String>,
+    benches: Vec<&'static Benchmark>,
 }
 
 const FLAGS: &[Flag] = &[
@@ -55,7 +56,9 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
     let mut a = Args {
         config: ExperimentConfig::default(),
         out: "BENCH_btb.json".into(),
-        benches: vec!["dispatch".into(), "router".into()],
+        benches: ["dispatch", "router"]
+            .map(|n| benchmark(n).expect("ships with the suite"))
+            .to_vec(),
     };
     while let Some(flag) = args.next_flag()? {
         match flag {
@@ -63,7 +66,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
             "--seed" => a.config.seed = args.value()?,
             "--out" => a.out = args.value()?,
             "--trace-cache" => a.config.trace_cache_dir = Some(args.value()?),
-            "--benches" => a.benches = args.list()?,
+            "--benches" => a.benches = benches_flag(args)?,
             other => return Err(CliError::Unknown(other.into())),
         }
     }
@@ -273,8 +276,7 @@ fn main() {
     let args = cli::parse_env("btb_bench", FLAGS, parse_args);
     let mut benches = Vec::new();
     let mut all_match = true;
-    for name in &args.benches {
-        let bench = benchmark(name).unwrap_or_else(|| panic!("benchmark `{name}` not found"));
+    for &bench in &args.benches {
         let (report, matched) = study_bench(bench, &args.config);
         benches.push(report);
         all_match &= matched;

@@ -48,7 +48,8 @@ use branchlab::experiments::{
 use branchlab::predict::{BranchPredictor, Cbtb, CbtbConfig};
 use branchlab::telemetry::cli::{self, CliError, Flag};
 use branchlab::telemetry::JsonValue;
-use branchlab::workloads::{benchmark, Scale};
+use branchlab::workloads::{benchmark, Benchmark, Scale};
+use branchlab_bench::benches_flag;
 
 /// The ablation binary's study set, reproduced point for point.
 fn study_set(
@@ -74,7 +75,7 @@ struct Args {
     lanes_only: bool,
     sweep_threads: Option<usize>,
     trace_out: Option<std::path::PathBuf>,
-    benches: Vec<String>,
+    benches: Vec<&'static Benchmark>,
 }
 
 const FLAGS: &[Flag] = &[
@@ -99,7 +100,9 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
         lanes_only: false,
         sweep_threads: None,
         trace_out: None,
-        benches: vec!["compress".into(), "cccp".into()],
+        benches: ["compress", "cccp"]
+            .map(|n| benchmark(n).expect("ships with the suite"))
+            .to_vec(),
     };
     while let Some(flag) = args.next_flag()? {
         match flag {
@@ -112,7 +115,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
             "--sweep-threads" => a.sweep_threads = Some(args.value::<usize>()?.max(1)),
             "--trace-cache" => a.config.trace_cache_dir = Some(args.value()?),
             "--trace-out" => a.trace_out = Some(args.value()?),
-            "--benches" => a.benches = args.list()?,
+            "--benches" => a.benches = benches_flag(args)?,
             other => return Err(CliError::Unknown(other.into())),
         }
     }
@@ -167,9 +170,8 @@ fn lanes_phase(args: &Args) -> bool {
     let mut all_match = true;
     let run_started = LaneStats::snapshot();
 
-    for name in &args.benches {
-        let bench =
-            benchmark(name).unwrap_or_else(|| panic!("benchmark `{name}` missing from suite"));
+    for &bench in &args.benches {
+        let name = bench.name;
 
         // Warm the trace cache so both timings are pure scoring.
         let events: u64 = captured_runs(bench, &args.config)
@@ -212,7 +214,7 @@ fn lanes_phase(args: &Args) -> bool {
         );
 
         per_bench.push(JsonValue::obj(vec![
-            ("name", name.as_str().into()),
+            ("name", name.into()),
             ("events", events.into()),
             ("scalar_s", scalar_s.into()),
             ("lane_s", lane_s.into()),
@@ -266,8 +268,8 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    // Floor at 4 so chunking, batch stealing, and the plan-order merge
-    // are exercised even on small runners; the report records `cores`
+    // Floor at 4 so unit claiming, the round barrier and the plan-order
+    // merge are exercised even on small runners; the report records `cores`
     // so a ~1x speedup there is self-explaining.
     let threads = args.sweep_threads.unwrap_or_else(|| cores.max(4));
     let serial_cfg = ExperimentConfig {
@@ -285,9 +287,8 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
     let mut all_match = true;
     let run_started = SweepStats::snapshot();
 
-    for name in &args.benches {
-        let bench =
-            benchmark(name).unwrap_or_else(|| panic!("benchmark `{name}` missing from suite"));
+    for &bench in &args.benches {
+        let name = bench.name;
 
         // Traces are warm from phase one (same scale/seed), so both
         // timings below are pure sweep scoring, not capture.
@@ -319,7 +320,7 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
         );
 
         per_bench.push(JsonValue::obj(vec![
-            ("name", name.as_str().into()),
+            ("name", name.into()),
             ("serial_s", serial_s.into()),
             ("parallel_s", parallel_s.into()),
             ("speedup", speedup.into()),
@@ -382,9 +383,8 @@ fn main() {
     let mut all_match = true;
     let run_started = TraceStats::snapshot();
 
-    for name in &args.benches {
-        let bench =
-            benchmark(name).unwrap_or_else(|| panic!("benchmark `{name}` missing from suite"));
+    for &bench in &args.benches {
+        let name = bench.name;
 
         let baseline_cfg = ExperimentConfig {
             use_trace_replay: false,
@@ -419,7 +419,7 @@ fn main() {
         );
 
         per_bench.push(JsonValue::obj(vec![
-            ("name", name.as_str().into()),
+            ("name", name.into()),
             ("reinterpret_s", reinterpret_s.into()),
             ("replay_s", replay_s.into()),
             ("speedup", speedup.into()),

@@ -28,7 +28,8 @@ use branchlab::server::client::Client;
 use branchlab::server::{Server, ServerConfig, ServerHandle};
 use branchlab::telemetry::cli::{self, CliError, Flag};
 use branchlab::telemetry::{json, JsonValue};
-use branchlab::workloads::Scale;
+use branchlab::workloads::{benchmark, Benchmark, Scale};
+use branchlab_bench::benches_flag;
 
 struct Args {
     url: Option<String>,
@@ -36,7 +37,7 @@ struct Args {
     connections: usize,
     requests: usize,
     distinct: usize,
-    benches: Vec<String>,
+    benches: Vec<&'static Benchmark>,
     scale: Scale,
     seed: u64,
     workers: usize,
@@ -63,7 +64,9 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
         connections: 4,
         requests: 200,
         distinct: 12,
-        benches: vec!["wc".into(), "cmp".into(), "grep".into()],
+        benches: ["wc", "cmp", "grep"]
+            .map(|n| benchmark(n).expect("ships with the suite"))
+            .to_vec(),
         scale: Scale::Test,
         seed: 1989,
         workers: 2,
@@ -76,7 +79,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
             "--connections" => a.connections = args.value()?,
             "--requests" => a.requests = args.value()?,
             "--distinct" => a.distinct = args.value::<usize>()?.max(1),
-            "--benches" => a.benches = args.list()?,
+            "--benches" => a.benches = benches_flag(args)?,
             "--scale" => a.scale = args.value()?,
             "--seed" => a.seed = args.value()?,
             "--workers" => a.workers = args.value()?,
@@ -91,7 +94,7 @@ fn parse_args(args: &mut cli::Args) -> Result<Args, CliError> {
 fn request_mix(args: &Args) -> Vec<String> {
     (0..args.distinct)
         .map(|i| {
-            let bench = &args.benches[i % args.benches.len()];
+            let bench = args.benches[i % args.benches.len()].name;
             let entries = 32 << (i % 4);
             format!(
                 "{{\"bench\": \"{bench}\", \"predictors\": [\
@@ -187,7 +190,7 @@ fn main() {
             let mut config = ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
                 workers: args.workers,
-                warm_benches: args.benches.clone(),
+                warm_benches: args.benches.iter().map(|b| b.name.to_string()).collect(),
                 ..ServerConfig::default()
             };
             config.experiment.scale = args.scale;
@@ -279,7 +282,7 @@ fn main() {
         ("distinct_bodies", mix.len().into()),
         (
             "benches",
-            JsonValue::Arr(args.benches.iter().map(|b| b.as_str().into()).collect()),
+            JsonValue::Arr(args.benches.iter().map(|b| b.name.into()).collect()),
         ),
         ("ok", tally.ok.into()),
         ("errors", tally.errors.into()),

@@ -44,7 +44,7 @@ use branchlab::predict::PredStats;
 use branchlab::telemetry::cli::{self, Args, CliError, Flag};
 use branchlab::telemetry::manifest::BenchmarkRecord;
 use branchlab::telemetry::{JsonValue, MetricsRegistry, RunManifest};
-use branchlab::workloads::Scale;
+use branchlab::workloads::{benchmark, Benchmark, Scale};
 
 pub mod timing;
 
@@ -105,6 +105,25 @@ pub const FLAGS: &[Flag] = &[
     ("--fault-seed", "N"),
     ("--fault-benches", "A,B,..."),
 ];
+
+/// The `--benches` value of `replay_bench`, `btb_bench` and
+/// `serve_bench` as shipped benchmarks, so an unknown name is a usage
+/// error while parsing rather than a panic mid-run.
+///
+/// # Errors
+/// [`CliError::BadValue`] naming the first unknown benchmark.
+pub fn benches_flag(args: &mut Args) -> Result<Vec<&'static Benchmark>, CliError> {
+    args.list()?
+        .into_iter()
+        .map(|name| {
+            benchmark(&name).ok_or(CliError::BadValue(
+                "--benches",
+                name,
+                "a comma list of benchmark names",
+            ))
+        })
+        .collect()
+}
 
 /// The flags of `ablation`, a prefix of [`FLAGS`].
 pub const STUDY_FLAGS: &[Flag] = FLAGS.split_at(8).0;

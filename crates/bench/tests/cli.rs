@@ -83,6 +83,11 @@ fn bad_input_exits_2_naming_the_flag() {
         if rates {
             rows.push((vec!["--fault-exec-rate", "2"], "--fault-exec-rate"));
         }
+        if matches!(name, "replay_bench" | "btb_bench" | "serve_bench") {
+            // Benchmark names are checked while parsing, not mid-run.
+            rows.push((vec!["--benches", "nosuch"], "`nosuch`"));
+            rows.push((vec!["--benches", "wc,nosuch"], "`nosuch`"));
+        }
         for (args, flag) in rows {
             let out = run(path, &args);
             let stderr = String::from_utf8_lossy(&out.stderr);

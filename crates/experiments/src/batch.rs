@@ -15,18 +15,22 @@
 //!
 //! ## Parallel scoring
 //!
-//! With more than one sweep thread resolved
-//! ([`ExperimentConfig::resolved_sweep_threads`]), the replay pass
-//! shards its sweep points across `std::thread::scope` workers. The
-//! captured [`TraceBuf`]s are shared read-only; each work batch (a
-//! chunk of predictors, or the return-address-stack set) re-decodes
-//! the stream through its own [`BlockIter`], so every sweep point
-//! still observes the complete event sequence in capture order — which
-//! makes the merged results **bit-identical to the serial path by
-//! construction**, independent of worker count and scheduling. Workers
-//! claim batches from a shared queue (dynamic load balancing; the
-//! claims beyond each worker's first are counted as
-//! `stolen_batches`), and results are merged back in plan order.
+//! The replay pass has one executor for every thread count
+//! ([`ExperimentConfig::resolved_sweep_threads`]). It decodes the
+//! captured [`TraceBuf`]s **once per pass**, block by block, into two
+//! alternating owned buffers, and runs in block-synchronous rounds. In
+//! round *k* the workers claim units from an atomic counter — first
+//! "decode block *k + 1* into the spare buffer", then every scoring unit
+//! (one scalar evaluator, one lane family, or the return-address-stack
+//! set) against block *k* — and a barrier ends the round. Every unit
+//! therefore sees every block in capture order, whichever worker runs
+//! it, which makes the results **bit-identical at any thread count by
+//! construction**. One worker is the caller's thread; with one thread
+//! the same loop runs inline and spawns nothing. Results merge back in
+//! plan order. A corrupt trace ends the pass with
+//! [`ExperimentError::Trace`], and a panicking unit ends it with the
+//! panic resumed on the caller — neither can strand a worker at the
+//! barrier.
 //!
 //! ## Lane planning
 //!
@@ -35,33 +39,36 @@
 //! (same [`LaneFamilyKey`]) are packed — up to [`MAX_LANES`] at a
 //! time — into bit-parallel [`LaneFamily`] work items that score all
 //! their lanes in one walk of the event stream, while incompatible or
-//! stateful points keep today's scalar path. Families ride the same
-//! work queue as scalar chunks (thread parallelism multiplies lane
-//! parallelism), and results merge back by flattened plan index, so
-//! every table is byte-identical to the scalar path at any thread
-//! count. [`ExperimentConfig::use_lane_scoring`] (on by default)
-//! gates the planner for baseline measurements.
+//! stateful points keep today's scalar path. Each family is one unit of
+//! the executor (thread parallelism multiplies lane parallelism), and
+//! results merge back by flattened plan index, so every table is
+//! byte-identical to the scalar path at any thread count.
+//! [`ExperimentConfig::use_lane_scoring`] (on by default) gates the
+//! planner for baseline measurements.
 //!
 //! [`TraceBuf`]: branchlab_trace::TraceBuf
 
-use std::sync::Mutex;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, LockResult, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use branchlab_interp::run;
-use branchlab_ir::{lower, Addr, FuncId};
+use branchlab_ir::lower;
 use branchlab_predict::{
     BranchPredictor, Evaluator, LaneFamily, LaneFamilyKey, LaneSpec, PredStats, ReturnAddressStack,
     MAX_LANES,
 };
 use branchlab_profile::profile_module_with;
 use branchlab_telemetry::SpanLink;
-use branchlab_trace::{BlockIter, BranchEvent, CallRet, ExecHooks, TraceBuf};
+use branchlab_trace::{BlockBuf, BlockIter, CallRet, ExecHooks, ReplayError, TraceBuf};
 use branchlab_workloads::Benchmark;
 
 use crate::harness::{eval_predictors_live, ExperimentConfig, ExperimentError};
 use crate::lane_stats::{note_lanes, LaneStats};
 use crate::sweep_stats::{note_sweep, SweepStats};
-use crate::trace_replay::{captured_runs, note_replay, replay_runs_traced};
+use crate::trace_replay::{captured_runs, note_replay};
 
 /// Handle to one enqueued predictor group (one study's sweep points);
 /// redeem with [`SweepResults::stats`].
@@ -123,7 +130,7 @@ impl<'a> SweepBatch<'a> {
     }
 
     /// Record this batch's capture/score/merge phases — and each
-    /// parallel scoring shard — as child spans under `parent` (see
+    /// scoring worker's `score_shard` — as child spans under `parent` (see
     /// [`branchlab_telemetry::trace`]). Off by default, so offline
     /// sweeps pay nothing.
     pub fn set_trace_parent(&mut self, parent: SpanLink) {
@@ -176,8 +183,8 @@ impl<'a> SweepBatch<'a> {
     }
 
     /// One replay pass feeds every evaluator, lane family, and stack
-    /// at once — on one thread, or sharded across sweep workers (see
-    /// the module docs); the results are bit-identical either way.
+    /// through the block-synchronous executor (see the module docs); the
+    /// results are bit-identical at any thread count.
     fn run_replay(self) -> Result<SweepResults, ExperimentError> {
         let trace = self.trace;
         let runs = {
@@ -192,7 +199,7 @@ impl<'a> SweepBatch<'a> {
         let points: Vec<Box<dyn BranchPredictor>> = self.groups.into_iter().flatten().collect();
         let n_points = points.len();
         let mut lanes = LaneStats::default();
-        let (scalars, mut families) = if self.config.use_lane_scoring {
+        let (scalars, families) = if self.config.use_lane_scoring {
             let (scalars, families) = plan_lanes(points);
             lanes = LaneStats {
                 passes: 1,
@@ -207,50 +214,61 @@ impl<'a> SweepBatch<'a> {
         } else {
             (points.into_iter().enumerate().collect(), Vec::new())
         };
-        let (scalar_idx, boxes): (Vec<usize>, Vec<Box<dyn BranchPredictor>>) =
-            scalars.into_iter().unzip();
-        let mut evals: BoxedEvals = boxes.into_iter().map(Evaluator::new).collect();
-        let mut ras = self.ras;
-        let threads = self.config.resolved_sweep_threads();
-        let work_items = evals.len() + families.len() + usize::from(!ras.is_empty());
-        let mut sweep = SweepStats::default();
-        if threads > 1 && work_items > 1 {
-            (evals, families, ras, sweep) = score_parallel(
-                &runs,
-                evals,
-                families,
-                ras,
-                n_points,
-                threads,
-                trace.as_ref(),
-            )?;
-        } else {
-            let mut span = trace.as_ref().map(|t| t.child("sweep_score"));
-            if let Some(s) = span.as_mut() {
-                s.arg("points", (n_points + ras.len()) as u64);
-                s.add_work(runs.iter().map(TraceBuf::events).sum());
-            }
-            let mut sink = BatchSink {
-                evals: &mut evals,
-                families: &mut families,
-                ras: &mut ras,
-                block: Vec::with_capacity(EVENT_BLOCK),
-            };
-            let link = span.as_ref().map(branchlab_telemetry::SpanHandle::link);
-            replay_runs_traced(&runs, &mut sink, link.as_ref())?;
-            sink.drain_block();
+        // Lane families first: they are the heaviest units, so claiming
+        // them early keeps the tail of each round short.
+        let mut units: Vec<Unit> = families.into_iter().map(Unit::Lanes).collect();
+        units.extend(
+            scalars
+                .into_iter()
+                .map(|(i, p)| Unit::Scalar(i, Evaluator::new(p))),
+        );
+        let n_ras = self.ras.len();
+        if n_ras > 0 {
+            units.push(Unit::Ras(self.ras));
         }
+
+        let pass = {
+            let mut span = trace.as_ref().map(|t| t.child("sweep_score"));
+            let link = span.as_ref().map(branchlab_telemetry::SpanHandle::link);
+            let pass = score_blocks(
+                &runs,
+                &mut units,
+                self.config.resolved_sweep_threads(),
+                EVENT_BLOCK,
+                link.as_ref(),
+            )?;
+            if let Some(s) = span.as_mut() {
+                s.arg("points", (n_points + n_ras) as u64);
+                s.arg("workers", pass.workers as u64);
+                s.arg("rounds", pass.rounds);
+                s.add_work(pass.events);
+            }
+            pass
+        };
+        note_replay(pass.events, pass.decode_us);
+
         // Merge scalar and lane results back by flattened plan index,
         // so the regrouped tables are independent of how the planner
-        // split the points.
+        // split the points and of which worker scored what.
+        let merge_started = Instant::now();
+        let merge_span = trace.as_ref().map(|t| t.child("sweep_merge"));
+        let n_units = units.len();
         let mut out: Vec<Option<PredStats>> = vec![None; n_points];
-        for (pos, e) in evals.into_iter().enumerate() {
-            out[scalar_idx[pos]] = Some(e.stats);
-        }
-        for work in families {
-            let indices = work.indices;
-            for (i, s) in indices.into_iter().zip(work.family.finish()) {
-                out[i] = Some(s);
+        let mut ras = Vec::new();
+        // Spent predictors are freed after the merge is timed.
+        let mut spent = Vec::with_capacity(n_units);
+        for unit in units {
+            match unit {
+                Unit::Scalar(i, e) => {
+                    out[i] = Some(e.stats);
+                    spent.push(e.predictor);
+                }
+                Unit::Lanes(work) => {
+                    for (i, s) in work.indices.into_iter().zip(work.family.finish()) {
+                        out[i] = Some(s);
+                    }
+                }
+                Unit::Ras(stacks) => ras = stacks,
             }
         }
         let mut stats = out
@@ -260,6 +278,20 @@ impl<'a> SweepBatch<'a> {
             .into_iter()
             .map(|n| stats.by_ref().take(n).collect())
             .collect();
+        drop(merge_span);
+        let mut sweep = SweepStats::default();
+        if pass.workers > 1 {
+            sweep = SweepStats {
+                sweeps: 1,
+                workers: pass.workers as u64,
+                points: n_points as u64,
+                batches: n_units as u64,
+                busy_us: pass.busy_us,
+                merge_us: micros(merge_started),
+            };
+            note_sweep(&sweep);
+        }
+        drop(spent);
         Ok(SweepResults {
             groups,
             ras,
@@ -340,7 +372,7 @@ impl SweepResults {
     }
 
     /// The parallel-sweep counters of this batch's own scoring pass
-    /// (all zero when it scored on one thread or ran live). Unlike a
+    /// (all zero when it scored on one worker or ran live). Unlike a
     /// [`SweepStats::snapshot`] diff, no concurrent sweep leaks in.
     #[must_use]
     pub fn sweep_stats(&self) -> SweepStats {
@@ -423,294 +455,233 @@ fn plan_lanes(
     (scalars, families)
 }
 
-/// Branch events buffered per fan-out block. Each evaluator consumes a
-/// long run of events with its tables cache-hot — round-robining tens
-/// of predictors per event thrashes L1 and costs several times the
-/// per-event work of a dedicated live pass.
+/// Events per decoded block. Each unit consumes a long run of events
+/// with its tables cache-hot — round-robining tens of predictors per
+/// event thrashes L1 and costs several times the per-event work of a
+/// dedicated live pass — while one block per round keeps the barrier
+/// cost negligible.
 const EVENT_BLOCK: usize = 16 * 1024;
 
-/// Fans one event stream out to every enqueued sink, block-wise for
-/// the branch evaluators.
-///
-/// Blocking is invisible to the results: each evaluator still sees the
-/// exact event sequence in order, and branch events never interact with
-/// the call/return stream (predictors consume only `branch`, stacks
-/// only `call`/`ret`), so delivering them on different schedules cannot
-/// change any statistic.
-struct BatchSink<'a> {
-    evals: &'a mut [Evaluator<Box<dyn BranchPredictor>>],
-    families: &'a mut [LaneFamilyWork],
-    ras: &'a mut [ReturnAddressStack],
-    block: Vec<BranchEvent>,
+/// One scoring unit of the executor: it owns its sinks and consumes
+/// every block of the pass, in capture order.
+enum Unit {
+    /// One scalar sweep point, with its flattened plan index.
+    Scalar(usize, Evaluator<Box<dyn BranchPredictor>>),
+    /// One packed lane family — all its lanes score in one walk.
+    Lanes(LaneFamilyWork),
+    /// Every enqueued return-address stack. Stacks consume only the
+    /// call/return half of the stream, and branch events never interact
+    /// with it, so delivering the halves on separate units cannot change
+    /// any statistic.
+    Ras(Vec<ReturnAddressStack>),
 }
 
-impl BatchSink<'_> {
-    fn drain_block(&mut self) {
-        for e in self.evals.iter_mut() {
-            e.branch_block(&self.block);
-        }
-        for f in self.families.iter_mut() {
-            f.family.eval_block(&self.block);
-        }
-        self.block.clear();
-    }
-}
-
-impl ExecHooks for BatchSink<'_> {
-    fn branch(&mut self, ev: &BranchEvent) {
-        self.block.push(*ev);
-        if self.block.len() == EVENT_BLOCK {
-            self.drain_block();
-        }
-    }
-
-    fn call(&mut self, from: Addr, callee: FuncId) {
-        for r in self.ras.iter_mut() {
-            r.call(from, callee);
-        }
-    }
-
-    fn ret(&mut self, from: Addr, to: Addr) {
-        for r in self.ras.iter_mut() {
-            r.ret(from, to);
-        }
-    }
-}
-
-/// The flattened evaluator list the executor shards and reassembles.
-type BoxedEvals = Vec<Evaluator<Box<dyn BranchPredictor>>>;
-
-/// One unit of parallel sweep work. Each item owns its sinks and
-/// re-decodes the shared trace through its own [`BlockIter`], so items
-/// never contend on anything but the queue lock.
-enum WorkItem {
-    /// A chunk of the scalar evaluator list, with the index of its
-    /// first evaluator for plan-order reassembly.
-    Preds { start: usize, evals: BoxedEvals },
-    /// One packed lane family — all its lanes score in a single walk
-    /// of the stream, so it travels as one indivisible item.
-    Lanes { work: LaneFamilyWork },
-    /// The full return-address-stack set (stacks consume only the
-    /// call/return half of the stream, so they travel as one item).
-    Ras { stacks: Vec<ReturnAddressStack> },
-}
-
-/// What a worker hands back after scoring an item.
-enum DoneItem {
-    Preds { start: usize, evals: BoxedEvals },
-    Lanes { work: LaneFamilyWork },
-    Ras { stacks: Vec<ReturnAddressStack> },
-}
-
-/// Score one work item over the shared trace. Every item consumes the
-/// complete event stream in capture order, so its statistics are
-/// independent of which worker runs it and when.
-fn score_item(
-    runs: &[TraceBuf],
-    item: WorkItem,
-    trace: Option<&SpanLink>,
-) -> Result<DoneItem, ExperimentError> {
-    let started = Instant::now();
-    let points = match &item {
-        WorkItem::Preds { evals, .. } => evals.len(),
-        WorkItem::Lanes { work } => work.family.lanes(),
-        WorkItem::Ras { stacks } => stacks.len(),
-    };
-    let mut span = trace.map(|t| t.child("score_shard"));
-    if let Some(s) = span.as_mut() {
-        s.arg("points", points as u64);
-    }
-    let mut iter = BlockIter::with_block_events(runs, EVENT_BLOCK);
-    if let Some(s) = span.as_ref() {
-        iter.set_trace_parent(&s.link());
-    }
-    let done = match item {
-        WorkItem::Preds { start, mut evals } => {
-            while let Some(block) = iter
-                .next_block()
-                .map_err(|e| ExperimentError::Trace(e.to_string()))?
-            {
-                for e in &mut evals {
-                    e.branch_block(block.branches);
-                }
+impl Unit {
+    /// Score one block; returns the point-events consumed.
+    fn score(&mut self, block: &BlockBuf) -> u64 {
+        match self {
+            Unit::Scalar(_, e) => {
+                e.branch_block(&block.branches);
+                block.branches.len() as u64
             }
-            DoneItem::Preds { start, evals }
-        }
-        WorkItem::Lanes { mut work } => {
-            while let Some(block) = iter
-                .next_block()
-                .map_err(|e| ExperimentError::Trace(e.to_string()))?
-            {
-                work.family.eval_block(block.branches);
+            Unit::Lanes(work) => {
+                work.family.eval_block(&block.branches);
+                (work.family.lanes() * block.branches.len()) as u64
             }
-            DoneItem::Lanes { work }
-        }
-        WorkItem::Ras { mut stacks } => {
-            while let Some(block) = iter
-                .next_block()
-                .map_err(|e| ExperimentError::Trace(e.to_string()))?
-            {
-                for &cr in block.callrets {
-                    for r in &mut stacks {
+            Unit::Ras(stacks) => {
+                for &cr in &block.callrets {
+                    for r in stacks.iter_mut() {
                         match cr {
                             CallRet::Call { from, callee } => r.call(from, callee),
                             CallRet::Ret { from, to } => r.ret(from, to),
                         }
                     }
                 }
+                (stacks.len() * block.callrets.len()) as u64
             }
-            DoneItem::Ras { stacks }
         }
-    };
-    if let Some(s) = span.as_mut() {
-        s.add_work(iter.delivered());
     }
-    note_replay(
-        iter.delivered(),
-        started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    );
-    Ok(done)
 }
 
-/// The parallel sweep executor: shard the scalar evaluators (plus the
-/// lane families and the RAS set) into work items, score them on
-/// `threads` scoped workers claiming from a shared queue, and merge
-/// the results back into the original order.
-///
-/// Chunking targets ~3 batches per worker so a slow chunk can be
-/// balanced out by the queue, without paying a per-point decode.
-/// Lane families are already event-walk-sized items and are sharded
-/// as-is — thread parallelism multiplies lane parallelism.
-#[allow(clippy::type_complexity)]
-fn score_parallel(
-    runs: &[TraceBuf],
-    evals: BoxedEvals,
-    families: Vec<LaneFamilyWork>,
-    ras: Vec<ReturnAddressStack>,
-    total_points: usize,
-    threads: usize,
-    trace: Option<&SpanLink>,
-) -> Result<
-    (
-        BoxedEvals,
-        Vec<LaneFamilyWork>,
-        Vec<ReturnAddressStack>,
-        SweepStats,
-    ),
-    ExperimentError,
-> {
-    let n_scalar = evals.len();
-    let chunk = n_scalar.div_ceil(threads * 3).max(1);
-    let mut queue: Vec<WorkItem> = Vec::new();
-    if !ras.is_empty() {
-        queue.push(WorkItem::Ras { stacks: ras });
-    }
-    for work in families {
-        queue.push(WorkItem::Lanes { work });
-    }
-    let mut rest = evals;
-    let mut start = 0;
-    while !rest.is_empty() {
-        let tail = rest.split_off(chunk.min(rest.len()));
-        queue.push(WorkItem::Preds { start, evals: rest });
-        start += chunk;
-        rest = tail;
-    }
-    let n_batches = queue.len() as u64;
-    let workers = threads.min(queue.len()).max(1);
+/// What one executor pass — or one worker's share of it — did.
+#[derive(Debug, Default)]
+struct Pass {
+    /// Workers that ran the rounds (the caller's thread included).
+    workers: usize,
+    /// Rounds, one per decoded block.
+    rounds: u64,
+    /// Events decoded — the trace's length; each is decoded once.
+    events: u64,
+    /// Time inside units (decode included), summed over workers.
+    busy_us: u64,
+    /// Time spent decoding.
+    decode_us: u64,
+}
 
-    let queue = Mutex::new(queue);
-    let done: Mutex<Vec<DoneItem>> = Mutex::new(Vec::new());
-    let first_error: Mutex<Option<ExperimentError>> = Mutex::new(None);
-    let stolen = std::sync::atomic::AtomicU64::new(0);
-    let busy_us = std::sync::atomic::AtomicU64::new(0);
+/// Why a pass stopped early. The first failure wins.
+enum Failure {
+    Trace(ReplayError),
+    Panic(Box<dyn Any + Send>),
+}
 
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let started = Instant::now();
-                let mut claims = 0u64;
-                loop {
-                    if first_error.lock().is_ok_and(|e| e.is_some()) {
-                        break;
-                    }
-                    let item = queue.lock().ok().and_then(|mut q| q.pop());
-                    let Some(item) = item else { break };
-                    claims += 1;
-                    match score_item(runs, item, trace) {
-                        Ok(result) => {
-                            if let Ok(mut d) = done.lock() {
-                                d.push(result);
-                            }
-                        }
-                        Err(e) => {
-                            if let Ok(mut slot) = first_error.lock() {
-                                slot.get_or_insert(e);
-                            }
-                            break;
-                        }
-                    }
+/// The state every worker of a pass shares. Block `k` lives in
+/// `blocks[k % 2]`; round `k` claims from `claims[k % 2]`. Claim 0 is
+/// "decode block `k + 1` into the spare buffer", claim `i ≥ 1` is
+/// `units[i - 1]`. The claim counters publish no data, so they are
+/// `Relaxed`: the locks and the round barrier order every access to
+/// units and blocks.
+struct Rounds<'r, 'u> {
+    units: Vec<Mutex<&'u mut Unit>>,
+    decoder: Mutex<BlockIter<'r>>,
+    blocks: [RwLock<BlockBuf>; 2],
+    claims: [AtomicUsize; 2],
+    /// The first failure and the round it happened in.
+    failure: Mutex<Option<(u64, Failure)>>,
+    barrier: Barrier,
+}
+
+/// A lock whose holder panicked is still safe to read here: the pass
+/// is already failing and only the failure record is used.
+fn unpoison<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Rounds<'_, '_> {
+    /// Run rounds until the spare block comes back empty or a unit
+    /// fails. Every worker passes every barrier — a failing unit is
+    /// caught and recorded rather than unwinding past it — so no worker
+    /// can strand the others.
+    fn work(&self, trace: Option<&SpanLink>) -> Pass {
+        let mut span = trace.map(|t| t.child("score_shard"));
+        let mut tally = Pass::default();
+        let (mut units, mut point_events) = (0u64, 0u64);
+        loop {
+            let round = tally.rounds;
+            let cur = (round % 2) as usize;
+            loop {
+                let claim = self.claims[cur].fetch_add(1, Ordering::Relaxed);
+                if claim > self.units.len() {
+                    break;
                 }
-                stolen.fetch_add(
-                    claims.saturating_sub(1),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                busy_us.fetch_add(
-                    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            });
-        }
-    });
-
-    if let Some(e) = first_error
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-
-    let merge_started = Instant::now();
-    let _merge_span = trace.map(|t| t.child("sweep_merge"));
-    let done = done
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut out_evals: Vec<Option<Evaluator<Box<dyn BranchPredictor>>>> = Vec::new();
-    out_evals.resize_with(n_scalar, || None);
-    let mut out_families = Vec::new();
-    let mut out_ras = Vec::new();
-    for item in done {
-        match item {
-            DoneItem::Preds { start, evals } => {
-                for (i, e) in evals.into_iter().enumerate() {
-                    out_evals[start + i] = Some(e);
+                let started = Instant::now();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if claim == 0 {
+                        let mut spare = unpoison(self.blocks[1 - cur].write());
+                        let next = unpoison(self.decoder.lock()).next_block_into(&mut spare);
+                        next.err().map(Failure::Trace)
+                    } else {
+                        let block = unpoison(self.blocks[cur].read());
+                        point_events += unpoison(self.units[claim - 1].lock()).score(&block);
+                        units += 1;
+                        None
+                    }
+                }))
+                .unwrap_or_else(|panic| Some(Failure::Panic(panic)));
+                let us = micros(started);
+                tally.busy_us += us;
+                if claim == 0 {
+                    tally.decode_us += us;
+                }
+                if let Some(f) = outcome {
+                    unpoison(self.failure.lock()).get_or_insert((round, f));
                 }
             }
-            // Families carry their own flattened plan indices, so
-            // completion order is irrelevant to the merged tables.
-            DoneItem::Lanes { work } => out_families.push(work),
-            DoneItem::Ras { stacks } => out_ras = stacks,
+            tally.rounds += 1;
+            if self.barrier.wait().is_leader() {
+                // Round k + 2 reuses this counter; every worker passes
+                // round k + 1's barrier first, so the reset lands in time.
+                self.claims[cur].store(0, Ordering::Relaxed);
+            }
+            // Only a failure from this round or earlier counts: a faster
+            // worker may already be failing in the next round, and every
+            // worker must reach that round's barrier too.
+            let failed = unpoison(self.failure.lock())
+                .as_ref()
+                .is_some_and(|(r, _)| *r <= round);
+            // Block k + 1 stays untouched until round k + 2's decode.
+            if failed || unpoison(self.blocks[1 - cur].read()).is_empty() {
+                break;
+            }
         }
+        if let Some(s) = span.as_mut() {
+            s.arg("units", units);
+            s.add_work(point_events);
+        }
+        tally
     }
-    let out_evals: Vec<_> = out_evals
-        .into_iter()
-        .map(|e| e.expect("every scored work item was merged"))
-        .collect();
+}
 
-    let sweep = SweepStats {
-        sweeps: 1,
-        workers: workers as u64,
-        points: total_points as u64,
-        batches: n_batches,
-        stolen_batches: stolen.into_inner(),
-        busy_us: busy_us.into_inner(),
-        merge_us: merge_started
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64,
+/// The block-synchronous executor: decode `runs` once, block by block,
+/// and feed every block to every unit on `threads` workers.
+///
+/// Block 0 is decoded up front. In round `k` the workers claim, from an
+/// atomic counter, the decode of block `k + 1` into the spare buffer
+/// (always claimed first) and then each unit in turn, which scores
+/// block `k`; a barrier ends the round. Each unit therefore sees the
+/// whole stream in capture order whichever worker runs it, so results
+/// are bit-identical at any thread count. One worker is the caller's
+/// thread; with `threads == 1` nothing is spawned.
+///
+/// A unit that panics stops the pass at the end of its round and the
+/// panic resumes on the caller; a corrupt trace stops it the same way
+/// and returns [`ExperimentError::Trace`].
+fn score_blocks(
+    runs: &[TraceBuf],
+    units: &mut [Unit],
+    threads: usize,
+    block_events: usize,
+    trace: Option<&SpanLink>,
+) -> Result<Pass, ExperimentError> {
+    let trace_err = |e: ReplayError| ExperimentError::Trace(e.to_string());
+    let mut decoder = BlockIter::with_block_events(runs, block_events);
+    if let Some(t) = trace {
+        decoder.set_trace_parent(t);
+    }
+    let started = Instant::now();
+    let mut first = BlockBuf::default();
+    decoder.next_block_into(&mut first).map_err(trace_err)?;
+    let workers = threads.clamp(1, units.len() + 1);
+    let first_us = micros(started);
+    let mut pass = Pass {
+        workers,
+        busy_us: first_us,
+        decode_us: first_us,
+        ..Pass::default()
     };
-    note_sweep(&sweep);
-    Ok((out_evals, out_families, out_ras, sweep))
+    let rounds = Rounds {
+        units: units.iter_mut().map(Mutex::new).collect(),
+        decoder: Mutex::new(decoder),
+        blocks: [RwLock::new(first), RwLock::new(BlockBuf::default())],
+        claims: [AtomicUsize::new(0), AtomicUsize::new(0)],
+        failure: Mutex::new(None),
+        barrier: Barrier::new(workers),
+    };
+    let tallies: Vec<Pass> = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers)
+            .map(|_| s.spawn(|| rounds.work(trace)))
+            .collect();
+        let mut tallies = vec![rounds.work(trace)];
+        for h in spawned {
+            tallies.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        tallies
+    });
+    match unpoison(rounds.failure.into_inner()) {
+        Some((_, Failure::Panic(p))) => resume_unwind(p),
+        Some((_, Failure::Trace(e))) => return Err(trace_err(e)),
+        None => {}
+    }
+    pass.rounds = tallies[0].rounds;
+    pass.events = unpoison(rounds.decoder.into_inner()).delivered();
+    for t in tallies {
+        pass.busy_us += t.busy_us;
+        pass.decode_us += t.decode_us;
+    }
+    Ok(pass)
+}
+
+fn micros(since: Instant) -> u64 {
+    since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 #[cfg(test)]
@@ -791,62 +762,190 @@ mod tests {
 
     #[test]
     fn traced_batch_records_phase_and_shard_spans() {
-        use branchlab_telemetry::TraceContext;
+        use branchlab_telemetry::{Span, TraceContext};
         let bench = benchmark("wc").unwrap();
-
-        // Parallel path: capture + one span per scoring shard + merge,
-        // with the decode loop annotated from the trace crate.
-        let cfg = ExperimentConfig {
-            sweep_threads: Some(2),
-            ..ExperimentConfig::test()
+        let traced = |threads: usize| -> Vec<Span> {
+            let cfg = ExperimentConfig {
+                sweep_threads: Some(threads),
+                ..ExperimentConfig::test()
+            };
+            let ctx = TraceContext::new();
+            let root = ctx.root("compute");
+            let mut batch = SweepBatch::new(bench, &cfg);
+            batch.set_trace_parent(root.link());
+            let _ = batch.eval(vec![Box::new(Sbtb::paper()), Box::new(Cbtb::paper())]);
+            let _ = batch.ras(&[8]);
+            batch.run().unwrap();
+            drop(root);
+            ctx.finish().spans
         };
-        let ctx = TraceContext::new();
-        let root = ctx.root("compute");
-        let mut batch = SweepBatch::new(bench, &cfg);
-        batch.set_trace_parent(root.link());
-        let _ = batch.eval(vec![Box::new(Sbtb::paper()), Box::new(Cbtb::paper())]);
-        let _ = batch.ras(&[8]);
-        batch.run().unwrap();
-        let root_id = root.id();
-        drop(root);
-        let trace = ctx.finish();
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        for phase in [
-            "sweep_capture",
-            "score_shard",
-            "sweep_merge",
-            "block_replay",
-        ] {
-            assert!(names.contains(&phase), "missing {phase} in {names:?}");
+        for threads in [1, 2] {
+            // Capture, one score pass with a worker span per thread and
+            // the trace crate's decode span under it, then the merge.
+            let spans = traced(threads);
+            let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+            for phase in [
+                "sweep_capture",
+                "sweep_score",
+                "score_shard",
+                "block_replay",
+                "sweep_merge",
+            ] {
+                assert!(names.contains(&phase), "missing {phase} in {names:?}");
+            }
+            let score = spans.iter().find(|s| s.name == "sweep_score").unwrap();
+            assert_eq!(score.arg_value("points"), Some(3), "2 predictors + 1 RAS");
+            let shards: Vec<_> = spans.iter().filter(|s| s.name == "score_shard").collect();
+            assert_eq!(shards.len(), threads, "one shard per worker");
+            assert!(shards.iter().all(|s| s.parent == Some(score.id)));
+            // Every unit (Sbtb, Cbtb, the RAS set) ran once per round,
+            // on whichever worker claimed it.
+            let units: u64 = shards.iter().filter_map(|s| s.arg_value("units")).sum();
+            assert_eq!(units, 3 * score.arg_value("rounds").unwrap(), "{shards:?}");
+            assert!(shards.iter().map(|s| s.work).sum::<u64>() > 0);
         }
-        let shards: Vec<_> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "score_shard")
-            .collect();
-        assert!(shards.len() >= 2, "expected ≥2 shards, got {shards:?}");
-        assert!(shards.iter().all(|s| s.parent == Some(root_id)));
-        assert!(shards.iter().all(|s| s.work > 0), "shards carry event work");
-        let points: u64 = shards.iter().filter_map(|s| s.arg_value("points")).sum();
-        assert_eq!(points, 3, "2 predictors + 1 RAS across shards");
+    }
 
-        // Serial path: one sweep_score span with per-run replay spans
-        // recorded by the trace crate underneath it.
-        let cfg = ExperimentConfig {
-            sweep_threads: Some(1),
-            ..ExperimentConfig::test()
-        };
-        let ctx = TraceContext::new();
-        let root = ctx.root("compute");
-        let mut batch = SweepBatch::new(bench, &cfg);
-        batch.set_trace_parent(root.link());
-        let _ = batch.eval(vec![Box::new(Sbtb::paper())]);
-        batch.run().unwrap();
-        drop(root);
-        let trace = ctx.finish();
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"sweep_score"), "{names:?}");
-        assert!(names.contains(&"replay_run"), "{names:?}");
+    /// Executor units covering every kind: a 3-lane CBTB family, two
+    /// scalar points and a RAS set.
+    fn mixed_units(extra: Option<Box<dyn BranchPredictor>>) -> Vec<Unit> {
+        use branchlab_predict::{CbtbConfig, Gshare};
+        let mut points: Vec<Box<dyn BranchPredictor>> = (1..=3)
+            .map(|threshold| {
+                Box::new(Cbtb::new(CbtbConfig {
+                    threshold,
+                    ..CbtbConfig::paper()
+                })) as Box<dyn BranchPredictor>
+            })
+            .collect();
+        points.push(Box::new(Sbtb::paper()));
+        points.push(Box::new(Gshare::new(10, 4)));
+        points.extend(extra);
+        let (scalars, families) = plan_lanes(points);
+        assert_eq!(families.len(), 1);
+        let mut units: Vec<Unit> = families.into_iter().map(Unit::Lanes).collect();
+        units.extend(
+            scalars
+                .into_iter()
+                .map(|(i, p)| Unit::Scalar(i, Evaluator::new(p))),
+        );
+        units.push(Unit::Ras(vec![
+            ReturnAddressStack::new(4),
+            ReturnAddressStack::new(16),
+        ]));
+        units
+    }
+
+    /// What a set of units scored, in unit order.
+    fn scored(units: Vec<Unit>) -> (Vec<PredStats>, Vec<(u64, u64, u64)>) {
+        let (mut stats, mut ras) = (Vec::new(), Vec::new());
+        for unit in units {
+            match unit {
+                Unit::Scalar(_, e) => stats.push(e.stats),
+                Unit::Lanes(work) => stats.extend(work.family.finish()),
+                Unit::Ras(stacks) => {
+                    ras.extend(stacks.iter().map(|r| (r.returns, r.correct, r.overflows)));
+                }
+            }
+        }
+        (stats, ras)
+    }
+
+    /// wc's trace at test scale, captured privately so these tests
+    /// leave the process-wide trace cache and its counters alone.
+    fn wc_runs() -> Vec<TraceBuf> {
+        let bench = benchmark("wc").unwrap();
+        let cfg = ExperimentConfig::test();
+        let program = lower(&bench.compile().unwrap()).unwrap();
+        bench
+            .runs(cfg.scale, cfg.seed)
+            .iter()
+            .map(|streams| {
+                let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+                let mut cap = branchlab_trace::Capture::new();
+                run(&program, &cfg.exec_config(), &refs, &mut cap).unwrap();
+                cap.into_buf()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tiny_blocks_match_one_thread_over_hundreds_of_rounds() {
+        let runs = wc_runs();
+        let mut serial = mixed_units(None);
+        let base = score_blocks(&runs, &mut serial, 1, EVENT_BLOCK, None).unwrap();
+        assert_eq!((base.workers, base.rounds), (1, 5), "{base:?}");
+        let want = scored(serial);
+        for threads in [1, 2, 3] {
+            let mut units = mixed_units(None);
+            let pass = score_blocks(&runs, &mut units, threads, 256, None).unwrap();
+            assert!(pass.rounds >= 200, "threads={threads} {pass:?}");
+            assert_eq!(pass.events, base.events);
+            assert_eq!(pass.workers, threads);
+            assert_eq!(scored(units), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn truncated_trace_is_a_trace_error_at_every_thread_count() {
+        // Dropping the last byte cuts the final record mid-field.
+        let mut cut = wc_runs();
+        let last = cut.pop().unwrap();
+        let bytes = last.as_bytes();
+        cut.push(TraceBuf::from_parts(
+            bytes[..bytes.len() - 1].to_vec(),
+            last.events(),
+        ));
+        for threads in [1, 2, 3] {
+            for block in [EVENT_BLOCK, 256] {
+                let mut units = mixed_units(None);
+                match score_blocks(&cut, &mut units, threads, block, None) {
+                    Err(ExperimentError::Trace(msg)) => {
+                        assert!(msg.contains("truncated record"), "{msg}");
+                    }
+                    other => panic!("threads={threads} block={block}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A predictor that panics on its third block.
+    struct Bomb(u32);
+
+    impl BranchPredictor for Bomb {
+        fn name(&self) -> &'static str {
+            "bomb"
+        }
+        fn predict(&mut self, _: &branchlab_trace::BranchEvent) -> branchlab_predict::Prediction {
+            branchlab_predict::Prediction::not_taken()
+        }
+        fn update(&mut self, _: &branchlab_trace::BranchEvent, _: &branchlab_predict::Prediction) {}
+        fn eval_block(&mut self, _: &[branchlab_trace::BranchEvent], _: &mut PredStats) {
+            self.0 += 1;
+            assert!(self.0 < 3, "bomb went off");
+        }
+    }
+
+    #[test]
+    fn panicking_unit_propagates_instead_of_deadlocking() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let runs = wc_runs();
+            let mut units = mixed_units(Some(Box::new(Bomb(0))));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                score_blocks(&runs, &mut units, 2, 256, None)
+            }));
+            let message = outcome.err().and_then(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("executor deadlocked after a unit panicked");
+        assert_eq!(message.as_deref(), Some("bomb went off"));
     }
 
     /// A lane-heavy plan: a CBTB counter family, a gshare pair, a

@@ -3,11 +3,10 @@
 //! same snapshot/since pattern as [`TraceStats`](crate::TraceStats).
 //!
 //! The executor in [`SweepBatch`](crate::SweepBatch) bumps these on
-//! every parallel scoring pass: how many sweeps ran, how many workers
-//! they spawned, how many sweep points and work batches were scored,
-//! how many batches were claimed beyond each worker's first (the
-//! dynamic load-balancing traffic), total worker busy time, and the
-//! plan-order merge time. The bench binaries export them into the
+//! every scoring pass that ran on more than one worker: how many sweeps
+//! ran, how many workers they used, how many sweep points and scoring
+//! units were scored, the time workers spent inside units (barrier
+//! waits excluded), and the plan-order merge time. The bench binaries export them into the
 //! metrics registry and the run manifest, and synthesize `Timeline`
 //! spans from the wall-clock counters.
 
@@ -24,7 +23,6 @@ mod cells {
     pub static workers: AtomicU64 = AtomicU64::new(0);
     pub static points: AtomicU64 = AtomicU64::new(0);
     pub static batches: AtomicU64 = AtomicU64::new(0);
-    pub static stolen_batches: AtomicU64 = AtomicU64::new(0);
     pub static busy_us: AtomicU64 = AtomicU64::new(0);
     pub static merge_us: AtomicU64 = AtomicU64::new(0);
 }
@@ -38,16 +36,16 @@ fn bump(cell: &AtomicU64, by: u64) {
 pub struct SweepStats {
     /// Parallel scoring passes executed.
     pub sweeps: u64,
-    /// Worker threads spawned, summed over sweeps.
+    /// Workers that ran the rounds (the caller's thread included),
+    /// summed over sweeps.
     pub workers: u64,
     /// Predictor sweep points scored in parallel passes.
     pub points: u64,
-    /// Work batches (predictor chunks + RAS sets) processed.
+    /// Scoring units (scalar points, lane families, RAS sets) run;
+    /// each unit consumes the whole stream.
     pub batches: u64,
-    /// Batches claimed beyond each worker's first — the work the
-    /// dynamic queue redistributed instead of a static pre-split.
-    pub stolen_batches: u64,
-    /// Total worker busy wall-clock, in microseconds (sums across
+    /// Wall-clock workers spent inside units — scoring or decoding,
+    /// never waiting at a round barrier — in microseconds (sums across
     /// concurrent workers, so it can exceed elapsed time).
     pub busy_us: u64,
     /// Wall-clock spent merging worker results back into plan order,
@@ -64,7 +62,6 @@ impl SweepStats {
             workers: cells::workers.load(Ordering::Relaxed),
             points: cells::points.load(Ordering::Relaxed),
             batches: cells::batches.load(Ordering::Relaxed),
-            stolen_batches: cells::stolen_batches.load(Ordering::Relaxed),
             busy_us: cells::busy_us.load(Ordering::Relaxed),
             merge_us: cells::merge_us.load(Ordering::Relaxed),
         }
@@ -73,13 +70,12 @@ impl SweepStats {
     /// The counters as `(name, value)` pairs, for metrics export under
     /// a `suite.sweep.parallel.` prefix.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 7] {
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("sweeps", self.sweeps),
             ("workers", self.workers),
             ("points", self.points),
             ("batches", self.batches),
-            ("stolen_batches", self.stolen_batches),
             ("busy_us", self.busy_us),
             ("merge_us", self.merge_us),
         ]
@@ -93,7 +89,6 @@ impl SweepStats {
             workers: self.workers.saturating_sub(earlier.workers),
             points: self.points.saturating_sub(earlier.points),
             batches: self.batches.saturating_sub(earlier.batches),
-            stolen_batches: self.stolen_batches.saturating_sub(earlier.stolen_batches),
             busy_us: self.busy_us.saturating_sub(earlier.busy_us),
             merge_us: self.merge_us.saturating_sub(earlier.merge_us),
         }
@@ -121,9 +116,8 @@ impl SweepStats {
     }
 
     /// Synthesize `Timeline`-style spans from the accumulated
-    /// wall-clock counters: aggregate worker scoring time (work =
-    /// points scored) and plan-order merge time (work = batches
-    /// merged).
+    /// wall-clock counters: aggregate worker unit time (work = points
+    /// scored) and plan-order merge time (work = units merged).
     #[must_use]
     pub fn phase_spans(&self) -> Vec<PhaseSpan> {
         vec![
@@ -148,7 +142,6 @@ pub(crate) fn note_sweep(delta: &SweepStats) {
     bump(&cells::workers, delta.workers);
     bump(&cells::points, delta.points);
     bump(&cells::batches, delta.batches);
-    bump(&cells::stolen_batches, delta.stolen_batches);
     bump(&cells::busy_us, delta.busy_us);
     bump(&cells::merge_us, delta.merge_us);
 }
@@ -165,7 +158,6 @@ mod tests {
             workers: 4,
             points: 36,
             batches: 13,
-            stolen_batches: 9,
             busy_us: 1000,
             merge_us: 5,
         });
@@ -182,16 +174,11 @@ mod tests {
             workers: 8,
             points: 72,
             batches: 26,
-            stolen_batches: 18,
             busy_us: 2000,
             merge_us: 10,
         };
         let json = s.to_json_value();
         assert_eq!(json.get("workers").and_then(JsonValue::as_int), Some(8));
-        assert_eq!(
-            json.get("stolen_batches").and_then(JsonValue::as_int),
-            Some(18)
-        );
         let spans = s.phase_spans();
         assert_eq!(spans[0].name, "sweep_score");
         assert_eq!(spans[0].work, 72);

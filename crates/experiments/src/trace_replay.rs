@@ -33,7 +33,7 @@ use branchlab_ir::lower;
 use branchlab_profile::{profile_module_with, Profile};
 use branchlab_telemetry::{JsonValue, MetricsRegistry, PhaseSpan};
 use branchlab_trace::{
-    hash_bytes, load_trace, replay_traced, save_trace, Capture, ExecHooks, TraceBuf, TraceKey,
+    hash_bytes, load_trace, replay, save_trace, Capture, ExecHooks, TraceBuf, TraceKey,
 };
 use branchlab_workloads::{Benchmark, Scale};
 
@@ -268,40 +268,22 @@ pub fn captured_runs(
 /// for buffers produced by [`Capture`]; reachable only through cache
 /// corruption that slipped past the checksum).
 pub fn replay_runs<H: ExecHooks>(runs: &[TraceBuf], hooks: &mut H) -> Result<u64, ExperimentError> {
-    replay_runs_traced(runs, hooks, None)
-}
-
-/// [`replay_runs`], recording one `replay_run` child span per buffer
-/// under `parent` (see [`branchlab_telemetry::trace`]). With `parent`
-/// `None` this is exactly [`replay_runs`].
-///
-/// # Errors
-/// Returns [`ExperimentError::Trace`] on a corrupt or truncated buffer.
-pub fn replay_runs_traced<H: ExecHooks>(
-    runs: &[TraceBuf],
-    hooks: &mut H,
-    parent: Option<&branchlab_telemetry::SpanLink>,
-) -> Result<u64, ExperimentError> {
     let started = Instant::now();
     let mut events = 0u64;
     for buf in runs {
-        events +=
-            replay_traced(buf, hooks, parent).map_err(|e| ExperimentError::Trace(e.to_string()))?;
+        events += replay(buf, hooks).map_err(|e| ExperimentError::Trace(e.to_string()))?;
     }
-    bump(&counter_cells::replays, 1);
-    bump(&counter_cells::events_replayed, events);
-    bump(
-        &counter_cells::replay_us,
+    note_replay(
+        events,
         started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
     );
     Ok(events)
 }
 
-/// Credit the trace counters for a replay pass performed outside
-/// [`replay_runs`] — the parallel sweep executor decodes the shared
-/// buffers itself (one streaming decode per work batch) and reports
-/// its decode traffic here so `suite.trace.*` stays an honest account
-/// of replay work.
+/// Credit the trace counters with one replay pass: `events` decoded in
+/// `wall_us`. The sweep executor decodes the shared buffers itself,
+/// once per pass, and reports its decode time here so `suite.trace.*`
+/// stays an honest account of replay work.
 pub(crate) fn note_replay(events: u64, wall_us: u64) {
     bump(&counter_cells::replays, 1);
     bump(&counter_cells::events_replayed, events);

@@ -1,13 +1,17 @@
 //! Block-granular iteration over shared trace buffers.
 //!
 //! [`BlockIter`] decodes a slice of per-run [`TraceBuf`]s into fixed-size
-//! [`EventBlock`]s, splitting the stream into its two non-interacting
-//! halves: branch events (consumed by branch predictors) and call/return
-//! events (consumed by return-address stacks). The input slice is read-only,
-//! so any number of iterators — one per sweep worker — can walk the same
-//! shared trace concurrently, and every consumer observes the complete
-//! stream in capture order. That ordering is what makes the parallel sweep
-//! executor in `branchlab-experiments` bit-identical to the serial path.
+//! blocks, splitting the stream into its two non-interacting halves:
+//! branch events (consumed by branch predictors) and call/return events
+//! (consumed by return-address stacks). A block is either borrowed from
+//! the iterator ([`EventBlock`], via [`BlockIter::next_block`]) or decoded
+//! into a caller-owned [`BlockBuf`] ([`BlockIter::next_block_into`]). The
+//! input slice is read-only, so any number of iterators can walk the same
+//! shared trace concurrently. The sweep executor in
+//! `branchlab-experiments` decodes each trace once per pass into two
+//! alternating `BlockBuf`s and hands every block, in capture order, to
+//! every scoring unit — which is what keeps its results bit-identical at
+//! any thread count.
 
 use branchlab_ir::{Addr, FuncId};
 
@@ -65,6 +69,41 @@ impl EventBlock<'_> {
     }
 }
 
+/// An owned, reusable block of decoded events: what
+/// [`BlockIter::next_block_into`] fills, for consumers that keep one
+/// block alive while the next is decoded (the sweep executor in
+/// `branchlab-experiments` alternates two).
+#[derive(Clone, Debug, Default)]
+pub struct BlockBuf {
+    /// Branch events in capture order.
+    pub branches: Vec<BranchEvent>,
+    /// Call/return events in capture order.
+    pub callrets: Vec<CallRet>,
+}
+
+impl BlockBuf {
+    /// The block as a borrowed [`EventBlock`].
+    #[must_use]
+    pub fn as_block(&self) -> EventBlock<'_> {
+        EventBlock {
+            branches: &self.branches,
+            callrets: &self.callrets,
+        }
+    }
+
+    /// Total events held (branches plus calls/returns).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.branches.len() + self.callrets.len()
+    }
+
+    /// Whether the block holds no events.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.branches.is_empty() && self.callrets.is_empty()
+    }
+}
+
 /// Streaming block decoder over a shared slice of per-run [`TraceBuf`]s.
 ///
 /// Blocks are filled to the configured event count across run boundaries;
@@ -75,9 +114,10 @@ pub struct BlockIter<'a> {
     next_run: usize,
     reader: Option<TraceReader<'a>>,
     block_events: usize,
-    branches: Vec<BranchEvent>,
-    callrets: Vec<CallRet>,
+    own: BlockBuf,
     delivered: u64,
+    /// Events the runs declare: a capacity hint, never a bound.
+    declared: u64,
     span: Option<branchlab_telemetry::SpanHandle>,
 }
 
@@ -101,9 +141,9 @@ impl<'a> BlockIter<'a> {
             next_run: 0,
             reader: None,
             block_events,
-            branches: Vec::with_capacity(block_events),
-            callrets: Vec::new(),
+            own: BlockBuf::default(),
             delivered: 0,
+            declared: runs.iter().map(TraceBuf::events).sum(),
             span: None,
         }
     }
@@ -129,9 +169,30 @@ impl<'a> BlockIter<'a> {
     /// # Errors
     /// Returns [`ReplayError`] on a truncated or corrupt buffer.
     pub fn next_block(&mut self) -> Result<Option<EventBlock<'_>>, ReplayError> {
-        self.branches.clear();
-        self.callrets.clear();
-        while self.branches.len() + self.callrets.len() < self.block_events {
+        let mut own = std::mem::take(&mut self.own);
+        let filled = self.next_block_into(&mut own);
+        self.own = own;
+        Ok(filled?.then(|| self.own.as_block()))
+    }
+
+    /// Decode the next block into `out` (cleared first): `Ok(true)` when
+    /// it holds events, `Ok(false)` — with `out` empty — when every run
+    /// is exhausted.
+    ///
+    /// # Errors
+    /// Returns [`ReplayError`] on a truncated or corrupt buffer.
+    pub fn next_block_into(&mut self, out: &mut BlockBuf) -> Result<bool, ReplayError> {
+        out.branches.clear();
+        out.callrets.clear();
+        // Size the buffer to what is left, so a short trace — or the
+        // spare buffer past the end — does not allocate a full block.
+        let left = self.declared.saturating_sub(self.delivered);
+        out.branches.reserve(
+            self.block_events
+                .min(usize::try_from(left).unwrap_or(usize::MAX)),
+        );
+        let mut n = 0;
+        while n < self.block_events {
             let reader = match &mut self.reader {
                 Some(r) => r,
                 None => {
@@ -143,29 +204,29 @@ impl<'a> BlockIter<'a> {
                 }
             };
             match reader.next_event()? {
-                Some(TraceEvent::Branch(ev)) => self.branches.push(ev),
+                Some(TraceEvent::Branch(ev)) => out.branches.push(ev),
                 Some(TraceEvent::Call { from, callee }) => {
-                    self.callrets.push(CallRet::Call { from, callee });
+                    out.callrets.push(CallRet::Call { from, callee });
                 }
                 Some(TraceEvent::Ret { from, to }) => {
-                    self.callrets.push(CallRet::Ret { from, to });
+                    out.callrets.push(CallRet::Ret { from, to });
                 }
-                None => self.reader = None,
+                None => {
+                    self.reader = None;
+                    continue;
+                }
             }
+            n += 1;
         }
-        if self.branches.is_empty() && self.callrets.is_empty() {
-            return Ok(None);
+        if n == 0 {
+            return Ok(false);
         }
-        let n = (self.branches.len() + self.callrets.len()) as u64;
-        self.delivered += n;
+        self.delivered += n as u64;
         if let Some(s) = self.span.as_mut() {
-            s.add_work(n);
+            s.add_work(n as u64);
             s.arg("blocks", s.arg_value("blocks").unwrap_or(0) + 1);
         }
-        Ok(Some(EventBlock {
-            branches: &self.branches,
-            callrets: &self.callrets,
-        }))
+        Ok(true)
     }
 }
 
@@ -288,6 +349,26 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn owned_blocks_match_borrowed_blocks() {
+        let runs = vec![run_with(5), run_with(0), run_with(9)];
+        let mut borrowed = BlockIter::with_block_events(&runs, 4);
+        let mut owned = BlockIter::with_block_events(&runs, 4);
+        let mut out = BlockBuf::default();
+        while let Some(block) = borrowed.next_block().unwrap() {
+            assert!(owned.next_block_into(&mut out).unwrap());
+            assert_eq!(out.as_block().branches, block.branches);
+            assert_eq!(out.as_block().callrets, block.callrets);
+            assert_eq!(out.len(), block.len());
+        }
+        assert!(!owned.next_block_into(&mut out).unwrap());
+        assert!(
+            out.is_empty(),
+            "an exhausted iterator leaves the buffer empty"
+        );
+        assert_eq!(owned.delivered(), borrowed.delivered());
     }
 
     #[test]

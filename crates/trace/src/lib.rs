@@ -18,9 +18,10 @@
 //!   the trace-driven engine behind the sweep experiments.
 //! * [`TraceKey`]/[`save_trace`]/[`load_trace`]: hash-validated
 //!   on-disk trace caching.
-//! * [`TraceReader`]/[`TraceEvent`]/[`BlockIter`]/[`EventBlock`]:
+//! * [`TraceReader`]/[`TraceEvent`]/[`BlockIter`]/[`EventBlock`]/[`BlockBuf`]:
 //!   streaming decode of shared read-only trace buffers, one event or
-//!   one block at a time — the substrate of the parallel sweep executor.
+//!   one block at a time — the substrate of the block-synchronous sweep
+//!   executor.
 
 #![warn(missing_docs)]
 
@@ -30,8 +31,8 @@ mod event;
 mod replay;
 mod stats;
 
-pub use blocks::{BlockIter, CallRet, EventBlock, DEFAULT_BLOCK_EVENTS};
+pub use blocks::{BlockBuf, BlockIter, CallRet, EventBlock, DEFAULT_BLOCK_EVENTS};
 pub use cache::{hash_bytes, load_trace, save_trace, TraceKey};
 pub use event::{BranchEvent, BranchKind, ExecHooks};
-pub use replay::{replay, replay_traced, Capture, ReplayError, TraceBuf, TraceEvent, TraceReader};
+pub use replay::{replay, Capture, ReplayError, TraceBuf, TraceEvent, TraceReader};
 pub use stats::{BranchMix, SiteCounts, SiteStats, TraceRecorder};

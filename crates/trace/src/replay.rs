@@ -252,24 +252,45 @@ struct Reader<'a> {
     pos: usize,
 }
 
+/// Build a decode error off the hot path: every check below branches to
+/// here only on corrupt input.
+#[cold]
+#[inline(never)]
+fn corrupt(offset: usize, reason: &'static str) -> ReplayError {
+    ReplayError { offset, reason }
+}
+
 impl Reader<'_> {
+    #[inline]
     fn err(&self, reason: &'static str) -> ReplayError {
-        ReplayError {
-            offset: self.pos,
-            reason,
+        corrupt(self.pos, reason)
+    }
+
+    #[inline]
+    fn byte(&mut self) -> Result<u8, ReplayError> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(corrupt(self.pos, "truncated record")),
         }
     }
 
-    fn byte(&mut self) -> Result<u8, ReplayError> {
-        let b = *self.bytes.get(self.pos).ok_or(ReplayError {
-            offset: self.pos,
-            reason: "truncated record",
-        })?;
-        self.pos += 1;
-        Ok(b)
+    /// LEB128 decode. Most fields (slots, ids, short deltas) fit one
+    /// byte, so that case skips the loop.
+    #[inline]
+    fn varint(&mut self) -> Result<u64, ReplayError> {
+        if let Some(&b) = self.bytes.get(self.pos) {
+            if b & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        self.varint_multi()
     }
 
-    fn varint(&mut self) -> Result<u64, ReplayError> {
+    fn varint_multi(&mut self) -> Result<u64, ReplayError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -285,14 +306,26 @@ impl Reader<'_> {
         }
     }
 
+    #[inline]
     fn svarint(&mut self) -> Result<i64, ReplayError> {
         Ok(unzigzag(self.varint()?))
     }
 
+    #[inline]
     fn addr_from(&mut self, base: i64, delta: i64) -> Result<Addr, ReplayError> {
-        u32::try_from(base + delta)
-            .map(Addr)
-            .map_err(|_| self.err("address out of range"))
+        match u32::try_from(base + delta) {
+            Ok(a) => Ok(Addr(a)),
+            Err(_) => Err(self.err("address out of range")),
+        }
+    }
+
+    /// A varint that must fit a `u32` id.
+    #[inline]
+    fn id(&mut self, reason: &'static str) -> Result<u32, ReplayError> {
+        match u32::try_from(self.varint()?) {
+            Ok(v) => Ok(v),
+            Err(_) => Err(self.err(reason)),
+        }
     }
 }
 
@@ -357,14 +390,12 @@ impl<'a> TraceReader<'a> {
     /// # Errors
     /// Returns [`ReplayError`] on a truncated or corrupt buffer,
     /// including an event count that does not match the stream.
+    #[inline]
     pub fn next_event(&mut self) -> Result<Option<TraceEvent>, ReplayError> {
         let r = &mut self.r;
         if r.pos >= r.bytes.len() {
             if self.delivered != self.expected {
-                return Err(ReplayError {
-                    offset: r.bytes.len(),
-                    reason: "event count mismatch",
-                });
+                return Err(corrupt(r.bytes.len(), "event count mismatch"));
             }
             return Ok(None);
         }
@@ -392,9 +423,8 @@ impl<'a> TraceReader<'a> {
                 let fallthrough = r.addr_from(i64::from(pc.0) + 1, slots as i64)?;
                 let target_delta = r.svarint()?;
                 let target = r.addr_from(i64::from(pc.0), target_delta)?;
-                let func = u32::try_from(r.varint()?).map_err(|_| r.err("func id out of range"))?;
-                let block =
-                    u32::try_from(r.varint()?).map_err(|_| r.err("block id out of range"))?;
+                let func = r.id("func id out of range")?;
+                let block = r.id("block id out of range")?;
                 TraceEvent::Branch(BranchEvent {
                     pc,
                     kind,
@@ -413,8 +443,7 @@ impl<'a> TraceReader<'a> {
                 let pc_delta = r.svarint()?;
                 let from = r.addr_from(self.last_pc, pc_delta)?;
                 self.last_pc = i64::from(from.0);
-                let callee =
-                    u32::try_from(r.varint()?).map_err(|_| r.err("callee id out of range"))?;
+                let callee = r.id("callee id out of range")?;
                 TraceEvent::Call {
                     from,
                     callee: FuncId(callee),
@@ -474,25 +503,6 @@ pub fn replay<H: ExecHooks>(buf: &TraceBuf, hooks: &mut H) -> Result<u64, Replay
         }
     }
     Ok(reader.delivered())
-}
-
-/// [`replay`], recorded as a `replay_run` child span of `parent`
-/// carrying the delivered event count as work. With `parent` `None`
-/// this is exactly [`replay`] — no span, no overhead.
-///
-/// # Errors
-/// Returns [`ReplayError`] on a truncated or corrupt buffer.
-pub fn replay_traced<H: ExecHooks>(
-    buf: &TraceBuf,
-    hooks: &mut H,
-    parent: Option<&branchlab_telemetry::SpanLink>,
-) -> Result<u64, ReplayError> {
-    let mut span = parent.map(|p| p.child("replay_run"));
-    let delivered = replay(buf, hooks)?;
-    if let Some(s) = span.as_mut() {
-        s.add_work(delivered);
-    }
-    Ok(delivered)
 }
 
 #[cfg(test)]
@@ -619,6 +629,25 @@ mod tests {
         let err = replay(&cut, &mut ()).unwrap_err();
         assert_eq!(err.reason, "truncated record");
         assert!(err.to_string().contains("corrupt trace"));
+    }
+
+    #[test]
+    fn every_corruption_reports_its_reason_and_offset() {
+        let mut huge_id = vec![TAG_CALL, 0];
+        push_varint(&mut huge_id, u64::from(u32::MAX) + 1);
+        let mut long_varint = vec![TAG_COND, 0];
+        long_varint.extend([0xff; 11]);
+        for (bytes, offset, reason) in [
+            (vec![TAG_CALL], 1, "truncated record"),
+            (vec![TAG_COND, 0, 0x80], 3, "truncated record"),
+            (long_varint, 13, "varint overflow"),
+            (vec![TAG_CALL, 1, 0], 2, "address out of range"),
+            (huge_id, 7, "callee id out of range"),
+            (vec![9], 1, "unknown event tag"),
+        ] {
+            let err = replay(&TraceBuf::from_parts(bytes, 1), &mut ()).unwrap_err();
+            assert_eq!(err, ReplayError { offset, reason });
+        }
     }
 
     #[test]
